@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "util/stats.h"
+
 namespace xsum::perfbench {
 
 using Clock = std::chrono::steady_clock;
@@ -38,19 +40,15 @@ inline double NsToMs(int64_t ns) { return static_cast<double>(ns) * 1e-6; }
 inline double NsToUs(int64_t ns) { return static_cast<double>(ns) * 1e-3; }
 
 /// Exact percentile (linear interpolation between closest ranks) of
-/// \p values; 0 for an empty sample. Sorts a copy.
-inline double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = std::min(values.size() - 1, lo + 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+/// \p values; 0 for an empty sample.
+inline double Percentile(const std::vector<double>& values, double p) {
+  StatAccumulator all;
+  for (double v : values) all.Add(v);
+  return all.Percentile(p);
 }
 
-inline double Median(std::vector<double> values) {
-  return Percentile(std::move(values), 50.0);
+inline double Median(const std::vector<double>& values) {
+  return Percentile(values, 50.0);
 }
 
 /// Process user+sys CPU time in microseconds.

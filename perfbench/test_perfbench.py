@@ -37,7 +37,9 @@ class PerfbenchTest(unittest.TestCase):
         self.assertTrue(result["correct"])
         self.assertEqual(result["failed"], 0)
         self.assertGreaterEqual(result["attempted"], 1)
-        spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+        with open(os.path.join(ROOT, "BENCHMARK.json"),
+                  encoding="utf-8") as f:
+            spec = json.load(f)
         for metric in spec["end_to_end"]:
             self.assertGreater(result["metrics"][metric["name"]]["value"], 0)
 

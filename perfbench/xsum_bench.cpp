@@ -13,8 +13,7 @@
 ///
 /// Usage:
 ///   xsum_bench --workload W --seed N --seconds S --trace 0|1
-///              [--tiny] [--setups N] [--rate R] [--limit-ms L]
-///              [--cache-kb K] [--pcst-share P] [--spans FILE]
+///              [--tiny] [--spans FILE]
 ///
 /// The untraced run (--trace 0) prints the end-to-end metrics; the traced
 /// run (--trace 1) prints the per-layer metrics, computed from spans the
@@ -79,22 +78,42 @@ struct Args {
   double seconds = 10.0;
   bool trace = false;
   bool tiny = false;
-  int setups = 3;
-  double rate = 0.0;       ///< reference rate, requests/s (serve_*)
-  double limit_ms = 0.0;   ///< p99 latency limit (serve_*)
-  double cache_kb = 0.0;   ///< per-shard cache budget (serve_sweep)
-  double pcst_share = 0.5; ///< share of PCST requests (serve_hot)
   std::string spans_path;  ///< where the traced run writes its spans
 };
+
+/// The constants of each workload; the seed is the only input a run
+/// varies. The reasons for each value are in perfbench/README.md.
+struct Workload {
+  const char* name;
+  double rate;        ///< reference rate, requests/s (serve_*)
+  double limit_ms;    ///< p99 limit of the max-rate search (serve_*)
+  size_t cache_kb;    ///< per-shard cache budget, KiB (0: service default)
+  double pcst_share;  ///< share of PCST requests (serve_hot)
+};
+
+constexpr Workload kWorkloads[] = {
+    {"panel_sweep", 0.0, 0.0, 0, 0.0},
+    {"serve_hot", 200.0, 100.0, 0, 0.667},
+    {"serve_sweep", 168.0, 200.0, 256, 0.0},
+};
+
+/// Set-ups per run; `setup_s` is their median.
+constexpr int kSetups = 25;
 
 [[noreturn]] void Usage(const char* why) {
   std::fprintf(stderr,
                "xsum_bench: %s\nusage: xsum_bench --workload "
                "panel_sweep|serve_hot|serve_sweep --seed N --seconds S "
-               "--trace 0|1 [--tiny] [--setups N] [--rate R] [--limit-ms L] "
-               "[--cache-kb K] [--pcst-share P] [--spans FILE]\n",
+               "--trace 0|1 [--tiny] [--spans FILE]\n",
                why);
   std::exit(2);
+}
+
+const Workload& FindWorkload(const std::string& name) {
+  for (const Workload& w : kWorkloads) {
+    if (name == w.name) return w;
+  }
+  Usage(("unknown workload " + name).c_str());
 }
 
 Args ParseArgs(int argc, char** argv) {
@@ -122,16 +141,6 @@ Args ParseArgs(int argc, char** argv) {
       args.seconds = number;
     } else if (flag == "--trace") {
       args.trace = number != 0.0;
-    } else if (flag == "--setups") {
-      args.setups = std::max(1, static_cast<int>(number));
-    } else if (flag == "--rate") {
-      args.rate = number;
-    } else if (flag == "--limit-ms") {
-      args.limit_ms = number;
-    } else if (flag == "--cache-kb") {
-      args.cache_kb = number;
-    } else if (flag == "--pcst-share") {
-      args.pcst_share = std::min(1.0, number);
     } else {
       Usage(("unknown flag " + flag).c_str());
     }
@@ -444,7 +453,7 @@ int RunPanelSweep(const Args& args) {
   std::vector<double> setup_s;
   std::vector<double> dataset_ms, recommend_ms, catalog_ms, engine_ms;
   std::unique_ptr<PanelStack> stack = RepeatSetup<PanelStack>(
-      args.setups,
+      kSetups,
       [&] {
         auto s = std::make_unique<PanelStack>();
         s->data = BuildDataset(args.tiny ? 0.02 : 0.25, args.tiny);
@@ -522,12 +531,15 @@ int RunPanelSweep(const Args& args) {
 
   // Timed window: round-robin RunPanelSweep calls over the three methods.
   // Per-summary cost is kept per method and combined as a balanced mix,
-  // so a window that ends mid-round does not skew the figure.
+  // so a window that ends mid-round does not skew the figure. Wall times
+  // are the benchmark's own clock around each call, so task building and
+  // the worker fan-out count as well as the kernels.
   struct MethodTally {
     double wall_ms = 0.0;
     double cpu_us = 0.0;
     size_t summaries = 0;
     std::vector<double> call_ms;
+    std::vector<double> call_ms_per_summary;
     std::vector<std::vector<double>> elapsed;  ///< per call
   };
   SpanRecorder spans(args.trace);
@@ -560,12 +572,22 @@ int RunPanelSweep(const Args& args) {
             ++outcome.failed;
             continue;
           }
-          ++t.summaries;
           t.elapsed.back().push_back(r->elapsed_ms);
         }
       }
+      t.summaries += t.elapsed.back().size();
+      t.call_ms_per_summary.push_back(
+          NsToMs(c1 - c0) /
+          static_cast<double>(std::max<size_t>(1, t.elapsed.back().size())));
     }
     return tally;
+  };
+  // Median wall time per summary of each method's calls, averaged over
+  // the methods.
+  const auto wall_ms_per_summary = [&](const std::vector<MethodTally>& tally) {
+    double sum = 0.0;
+    for (const MethodTally& t : tally) sum += Median(t.call_ms_per_summary);
+    return sum / static_cast<double>(tally.size());
   };
   const auto balanced_ops = [&](const std::vector<MethodTally>& tally) {
     double ms_per_summary = 0.0;
@@ -574,7 +596,8 @@ int RunPanelSweep(const Args& args) {
     }
     return 1e3 * static_cast<double>(tally.size()) / ms_per_summary;
   };
-  // Per-summary engine time (Summary::elapsed_ms) over complete rounds.
+  // Per-summary engine time (Summary::elapsed_ms, the library's own
+  // timer) over complete rounds; only the traced run's tail uses it.
   const auto elapsed_ms = [&](const std::vector<MethodTally>& tally) {
     size_t rounds = tally[0].elapsed.size();
     for (const MethodTally& t : tally) {
@@ -597,14 +620,12 @@ int RunPanelSweep(const Args& args) {
     for (const MethodTally& t : tally) {
       cpu_per_summary += t.cpu_us / static_cast<double>(t.summaries);
     }
-    const std::vector<double> elapsed = elapsed_ms(tally);
     std::fprintf(stderr,
-                 "panel_sweep: %zu per-summary samples, p99 %.4f ms, "
-                 "%.2f summaries/s\n",
-                 elapsed.size(), Percentile(elapsed, 99.0),
-                 balanced_ops(tally));
+                 "panel_sweep: %zu/%zu/%zu calls, %.2f summaries/s\n",
+                 tally[0].call_ms.size(), tally[1].call_ms.size(),
+                 tally[2].call_ms.size(), balanced_ops(tally));
     out.Set("setup_s", Median(setup_s), "s");
-    out.Set("p50_ms", Percentile(elapsed, 50.0), "ms");
+    out.Set("p50_ms", wall_ms_per_summary(tally), "ms");
     out.Set("cpu_us_per_op",
             cpu_per_summary / static_cast<double>(tally.size()), "us");
     out.Set("peak_rss_mb", PeakRssMb(), "MiB");
@@ -798,7 +819,7 @@ std::unique_ptr<ServeStack> BuildServeStack(const Args& args, bool sweep,
 
 /// Methods a workload requests: 0 = ST (Mehlhorn, λ=1, the serving
 /// default), 1 = PCST, and on serve_sweep also 2 = ST-KMB with λ=0, the
-/// configuration whose k-sweeps reuse chain checkpoints (DESIGN.md §5).
+/// only configuration whose k-sweeps reuse chain state (DESIGN.md §5).
 size_t NumMethods(bool sweep) { return sweep ? 3 : 2; }
 
 /// The request universe: every catalog (unit, k) under every method,
@@ -896,9 +917,9 @@ struct WireTally {
 /// The open-loop driver of one serving workload.
 class ServeDriver {
  public:
-  ServeDriver(const Args& args, bool sweep, const ServeStack& stack,
+  ServeDriver(bool sweep, double pcst_share, const ServeStack& stack,
               const std::vector<Request>* universe, SpanRecorder* spans)
-      : args_(args), sweep_(sweep), universe_(universe),
+      : sweep_(sweep), pcst_share_(pcst_share), universe_(universe),
         spans_(spans), methods_(NumMethods(sweep)),
         hot_zipf_(std::max<size_t>(1, universe->size() / methods_), 1.1) {
     for (size_t c = 0; c < Nproc(); ++c) {
@@ -908,13 +929,23 @@ class ServeDriver {
     // serve_hot popularity: Zipf ranks over (unit, k) entries in one
     // fixed shuffled order, so every seed sees the same hot set and only
     // the draw sequence varies; the method is a coin with P(PCST) =
-    // --pcst-share.
+    // \p pcst_share.
     hot_order_.resize(universe->size() / methods_);
     std::iota(hot_order_.begin(), hot_order_.end(), 0u);
     Rng fixed(0x5EED);
     fixed.Shuffle(&hot_order_);
-    deck_.resize(universe->size() / kKs.size());
-    std::iota(deck_.begin(), deck_.end(), 0u);
+    // serve_sweep deck: every unit under ST-Mehlhorn and PCST, and the
+    // group units also under ST-KMB λ=0. Group sweeps have the largest
+    // terminal sets, so chain reuse saves most there; KMB λ=0 sessions of
+    // every unit would put the request median into the gap between the
+    // cache-hit and cache-miss modes (README, "The sweep mix").
+    for (uint32_t pair = 0; pair < universe->size() / kKs.size(); ++pair) {
+      const core::Scenario scenario = stack.units[pair / methods_].scenario;
+      if (pair % methods_ < 2 || scenario == core::Scenario::kUserGroup ||
+          scenario == core::Scenario::kItemGroup) {
+        deck_.push_back(pair);
+      }
+    }
   }
 
   /// Requests per job (a serve_sweep session walks k = 1..10).
@@ -944,7 +975,7 @@ class ServeDriver {
             }
             return deck_[deck_pos_++];
           }
-          const uint32_t method = r->Bernoulli(args_.pcst_share) ? 1 : 0;
+          const uint32_t method = r->Bernoulli(pcst_share_) ? 1 : 0;
           const uint32_t entry =
               hot_order_[static_cast<size_t>(hot_zipf_.Sample(r))];
           return static_cast<uint32_t>(methods_ * entry + method);
@@ -1011,8 +1042,8 @@ class ServeDriver {
     return sample;
   }
 
-  const Args& args_;
   const bool sweep_;
+  const double pcst_share_;
   const std::vector<Request>* universe_;
   SpanRecorder* spans_;
   std::vector<std::unique_ptr<net::HttpClient>> clients_;
@@ -1140,16 +1171,13 @@ void HandlerWaterfall(ServeStack& s, const std::vector<Request>& universe,
 }
 
 int RunServe(const Args& args, bool sweep) {
-  if (args.rate <= 0 || args.limit_ms <= 0) {
-    Usage("serve workloads need --rate and --limit-ms");
-  }
+  const Workload& w = FindWorkload(args.workload);
   SpanRecorder spans(false);
-  const size_t cache_bytes = sweep ? static_cast<size_t>(args.cache_kb) << 10
-                                   : 0;
+  const size_t cache_bytes = w.cache_kb << 10;
   std::vector<double> setup_s;
   std::vector<double> dataset_ms, recommend_ms, catalog_ms, engine_ms;
   std::unique_ptr<ServeStack> stack = RepeatSetup<ServeStack>(
-      args.setups,
+      kSetups,
       [&] {
         auto s = BuildServeStack(args, sweep, cache_bytes, &spans);
         dataset_ms.push_back(s->data.dataset_ms);
@@ -1172,7 +1200,7 @@ int RunServe(const Args& args, bool sweep) {
                static_cast<double>(footprint) / 1024.0,
                static_cast<double>(cache_bytes) / 1024.0);
 
-  ServeDriver driver(args, sweep, *stack, &universe, &spans);
+  ServeDriver driver(sweep, w.pcst_share, *stack, &universe, &spans);
   Rng rng(args.seed * 0x9E3779B97F4A7C15ULL + 3);
   Outcome outcome;
   const auto account = [&](const WireTally& t) {
@@ -1180,7 +1208,7 @@ int RunServe(const Args& args, bool sweep) {
     outcome.failed += t.failed.load();
     outcome.mismatched += t.mismatched.load();
   };
-  const double cutoff_grace_s = args.limit_ms * 1e-3;
+  const double cutoff_grace_s = w.limit_ms * 1e-3;
 
   // Untimed warm-up: serve_hot pre-warms the cache with every distinct
   // request; both then run a short open-loop burst to warm connections.
@@ -1192,16 +1220,18 @@ int RunServe(const Args& args, bool sweep) {
   }
   {
     WireTally warm;
-    driver.Run(driver.Schedule(args.rate, args.tiny ? 0.2 : 1.0, &rng),
+    driver.Run(driver.Schedule(w.rate, args.tiny ? 0.2 : 1.0, &rng),
                10.0, &warm);
     account(warm);
   }
   const double first_pass_ms = MsSince(t0);
 
-  const double ref_s = args.seconds / 2;
-  const auto reference_phase = [&](WireTally* tally) {
-    PhaseResult phase = driver.Run(driver.Schedule(args.rate, ref_s, &rng),
-                                   ref_s + cutoff_grace_s + 1.0, tally);
+  // The untraced run measures one reference phase of --seconds; the
+  // traced run splits it into an untraced and a traced half.
+  const double half_s = args.seconds / 2;
+  const auto reference_phase = [&](double seconds, WireTally* tally) {
+    PhaseResult phase = driver.Run(driver.Schedule(w.rate, seconds, &rng),
+                                   seconds + cutoff_grace_s + 1.0, tally);
     // Jobs the generator never started are timeouts.
     tally->attempted += phase.unsent;
     tally->failed += phase.unsent;
@@ -1210,16 +1240,16 @@ int RunServe(const Args& args, bool sweep) {
 
   const auto max_rate_search = [&] {
     // Max-rate search. A saturation probe offers as many jobs as the
-    // reference phase all at once (on serve_sweep exactly one deck of
-    // sessions, so its work mix is fixed); the rate at which it completed
-    // requests is the capacity X the search is anchored to, so the steps
-    // land near the knee however fast the machine is, and no ceiling caps
-    // a gain. Three bisection steps of the same job count over offered
-    // rates in [0.5 X, X] then find the highest rate that passes: every
-    // response correct, p99 within --limit-ms, and no backlog (every job
-    // due in the step started before the step ended, plus the limit). The
-    // knee is interpolated on log p99 between the last passing and the
-    // first failing rate.
+    // untraced run's reference phase all at once (on serve_sweep at 30 s
+    // four whole decks of sessions, so its work mix is fixed); the rate
+    // at which it completed requests is the capacity X the search is
+    // anchored to, so the steps land near the knee however fast the
+    // machine is, and no ceiling caps a gain. Three bisection steps of the
+    // same job count over offered rates in [0.5 X, X] then find the
+    // highest rate that passes: every response correct, p99 within the
+    // workload's limit, and no backlog (every job due in the step started
+    // before the step ended, plus the limit). The knee is interpolated on
+    // log p99 between the last passing and the first failing rate.
     struct Step {
       double done_rate;  ///< requests completed per second
       double p99;
@@ -1227,7 +1257,7 @@ int RunServe(const Args& args, bool sweep) {
     };
     const size_t jobs = std::max<size_t>(
         1, static_cast<size_t>(std::llround(
-               args.rate / driver.RequestsPerJob() * ref_s)));
+               w.rate / driver.RequestsPerJob() * args.seconds)));
     const auto step = [&](double rate, const char* label) {
       // rate 0 = the probe: every job due at once.
       const double seconds =
@@ -1253,7 +1283,7 @@ int RunServe(const Args& args, bool sweep) {
       const double f = i == 0 ? 0.8 : (f_lo + f_hi) / 2;
       const double rate = f * capacity;
       const Step result = step(rate, "step");
-      if (result.clean && result.p99 <= args.limit_ms) {
+      if (result.clean && result.p99 <= w.limit_ms) {
         f_lo = f;
         lo = rate;
         lo_p99 = result.p99;
@@ -1266,7 +1296,7 @@ int RunServe(const Args& args, bool sweep) {
     double max_rate = lo;
     if (lo > 0.0 && hi > 0.0 && hi_p99 > lo_p99) {
       const double f = std::clamp(
-          (std::log(args.limit_ms) - std::log(lo_p99)) /
+          (std::log(w.limit_ms) - std::log(lo_p99)) /
               (std::log(hi_p99) - std::log(lo_p99)),
           0.0, 1.0);
       max_rate = lo * std::pow(hi / lo, f);
@@ -1277,13 +1307,13 @@ int RunServe(const Args& args, bool sweep) {
   MetricSink out;
   if (!args.trace) {
     WireTally ref_tally;
-    const PhaseResult ref = reference_phase(&ref_tally);
+    const PhaseResult ref = reference_phase(args.seconds, &ref_tally);
     account(ref_tally);
     const std::vector<double> ref_lat = Latencies(ref);
     std::fprintf(stderr,
                  "reference phase: %zu samples at %.0f req/s, p50 %.4f ms, "
                  "p99 %.4f ms, lag p99 %.4f ms\n",
-                 ref_lat.size(), args.rate, Percentile(ref_lat, 50.0),
+                 ref_lat.size(), w.rate, Percentile(ref_lat, 50.0),
                  Percentile(ref_lat, 99.0), Percentile(ref.lag_ms, 99.0));
     out.Set("setup_s", Median(setup_s), "s");
     out.Set("p50_ms", Percentile(ref_lat, 50.0), "ms");
@@ -1304,12 +1334,12 @@ int RunServe(const Args& args, bool sweep) {
             "count");
 
     WireTally untraced_tally;
-    const PhaseResult untraced = reference_phase(&untraced_tally);
+    const PhaseResult untraced = reference_phase(half_s, &untraced_tally);
     account(untraced_tally);
     const Counters before = ReadCounters(*stack);
     spans.set_enabled(true);
     WireTally traced_tally;
-    const PhaseResult traced = reference_phase(&traced_tally);
+    const PhaseResult traced = reference_phase(half_s, &traced_tally);
     spans.set_enabled(false);
     const Counters after = ReadCounters(*stack);
     account(traced_tally);
@@ -1408,8 +1438,7 @@ int RunServe(const Args& args, bool sweep) {
 int main(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
   PrintEnvironment(args);
+  FindWorkload(args.workload);  // exits 2 on an unknown name
   if (args.workload == "panel_sweep") return RunPanelSweep(args);
-  if (args.workload == "serve_hot") return RunServe(args, /*sweep=*/false);
-  if (args.workload == "serve_sweep") return RunServe(args, /*sweep=*/true);
-  Usage(("unknown workload " + args.workload).c_str());
+  return RunServe(args, /*sweep=*/args.workload == "serve_sweep");
 }

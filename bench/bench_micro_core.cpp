@@ -16,9 +16,7 @@
 ///    `SearchWorkspace` and a prebuilt shared `graph::CostView` (the
 ///    steady state of `core::BatchSummarizer` / the summary service).
 /// Comparing SeedRef vs CostView rows reports the old-vs-new throughput of
-/// repeated queries; the `BM_PcstGrowthFrontier` family additionally splits
-/// the indexed-heap, Dial-bucket, delta-stepping, and auto-selected
-/// frontiers of the PCST growth (DESIGN.md §4, §8).
+/// repeated queries.
 ///
 /// The cross-request batching rows benchmark the multi-query kernel
 /// (DESIGN.md §8): `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B
@@ -27,7 +25,7 @@
 /// `DijkstraSequentialBatch` isolate the raw lockstep kernel from the
 /// wave layer's source dedup. After the google-benchmark rows, main()
 /// prints a direct wall-clock wave-speedup gate (target >= 1.5x for
-/// B >= 8). The SeedRef/CostView/Frontier/wave rows emit `XSUM_JSON` perf
+/// B >= 8). The SeedRef/CostView/wave rows emit `XSUM_JSON` perf
 /// records for cross-commit trend tracking.
 
 #include <benchmark/benchmark.h>
@@ -655,42 +653,6 @@ void BM_PcstGrowthCostView(benchmark::State& state) {
                 timer.ElapsedMillis());
 }
 BENCHMARK(BM_PcstGrowthCostView)->Arg(11)->Arg(51)->Arg(201);
-
-/// Heap vs Dial-bucket vs delta-stepping frontier under the
-/// moat-discretization slack (the tie-free regime where the automatic
-/// selection admits the bucketed queues; the forced rows isolate each
-/// queue, the kAuto row is the calibration regression guard — its wall
-/// time must track whichever forced row the heuristic picks at this
-/// scale). Results are bit-identical across all four
-/// (tests/core/cost_view_equivalence_test).
-void BM_PcstGrowthFrontier(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const graph::CostView& view = FixtureUnitView();
-  const auto terminals =
-      PickTerminals(rg, static_cast<size_t>(state.range(0)), 17);
-  core::PcstOptions options;
-  options.growth_slack = 0.5;
-  static constexpr core::PcstOptions::Frontier kFrontiers[] = {
-      core::PcstOptions::Frontier::kHeap, core::PcstOptions::Frontier::kBucket,
-      core::PcstOptions::Frontier::kDelta, core::PcstOptions::Frontier::kAuto};
-  static constexpr const char* kNames[] = {
-      "PcstGrowthHeapFrontier", "PcstGrowthBucketFrontier",
-      "PcstGrowthDeltaFrontier", "PcstGrowthAutoFrontier"};
-  const auto which = static_cast<size_t>(state.range(1));
-  options.frontier = kFrontiers[which];
-  graph::SearchWorkspace ws;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    auto result =
-        core::PcstSummary(view, rg.base_weights(), terminals, options, &ws);
-    benchmark::DoNotOptimize(result);
-  }
-  EmitMicroPerf(state, kNames[which], terminals.size(), timer.ElapsedMillis());
-}
-BENCHMARK(BM_PcstGrowthFrontier)
-    ->ArgsProduct({{11, 51, 201}, {0, 1, 2, 3}})
-    ->ArgNames({"t", "frontier"});
 
 /// Builds a bare summarization task over random terminals (no input paths:
 /// Eq. (1) degenerates to the base weights, isolating engine overhead).

@@ -68,10 +68,6 @@ void FingerprintTask(const core::SummaryTask& task,
   fp.Mix((options.pcst.use_edge_weights ? 2 : 0) |
          (options.pcst.strong_prune ? 1 : 0));
   fp.MixDouble(options.pcst.growth_slack);
-  // A *forced* frontier can change tie-breaking (and thus the summary)
-  // when growth keys collide; kAuto never can, but mixing the knob keeps
-  // the key an injective image of the options either way.
-  fp.Mix(static_cast<uint64_t>(options.pcst.frontier));
   *fp_hi = fp.hi;
   *fp_lo = fp.lo;
 }

@@ -91,10 +91,6 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
       {"XSUM_WORKERS", "int", "0 (auto)", ">= 0",
        "eval benches, examples (panel evaluation)",
        "worker threads for panel evaluation; 0 = one per hardware thread"},
-      {"XSUM_FRONTIER", "string", "auto",
-       "auto, heap, bucket, or delta", "PCST growth (core/pcst)",
-       "frontier structure override for PCST growth; auto picks by "
-       "search volume (heap < 20k nodes, bucket < 64k, delta above)"},
       {"XSUM_CACHE", "int", "1", "0 or 1", "eval benches, xsum_server",
        "route panel/service summarization through the summary cache"},
       {"XSUM_CACHE_MB", "int", "64", ">= 0", "eval benches, xsum_server",

@@ -1,9 +1,9 @@
 /// Property tests of the incremental k-sweep summarization engine
 /// (core/incremental.h): chained summaries must be bit-identical to
 /// from-scratch ones across methods (ST-KMB / ST-Mehlhorn / PCST /
-/// baseline), scenarios, λ overlays, worker counts, frontier choices, and
-/// both closure-store retention modes — reuse may only engage where it is
-/// provably exact. Also the regression tests of the unified perf
+/// baseline), scenarios, λ overlays, worker counts, PCST growth slacks,
+/// and both closure-store retention modes — reuse may only engage where
+/// it is provably exact. Also the regression tests of the unified perf
 /// accounting (Summary::elapsed_ms / memory_bytes filled on every path).
 
 #include "core/incremental.h"
@@ -96,13 +96,12 @@ std::vector<SummarizerOptions> MethodLineup() {
   st_unit.cost_mode = CostMode::kUnit;
   st_unit.steiner.variant = SteinerOptions::Variant::kKmb;
   methods.push_back(st_unit);
-  for (auto frontier :
-       {PcstOptions::Frontier::kAuto, PcstOptions::Frontier::kHeap,
-        PcstOptions::Frontier::kBucket, PcstOptions::Frontier::kDelta}) {
+  // PCST at the default slack 0 (tied keys, the configuration every
+  // shipped caller runs) and at slack 0.5 (tie-free keys).
+  for (double slack : {0.0, 0.5}) {
     SummarizerOptions pcst;
     pcst.method = SummaryMethod::kPcst;
-    pcst.pcst.frontier = frontier;
-    pcst.pcst.growth_slack = 0.5;  // tie-free regime: all frontiers agree
+    pcst.pcst.growth_slack = slack;
     methods.push_back(pcst);
   }
   return methods;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/socket_io.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -28,14 +27,7 @@ HttpServer::HttpServer(Handler handler)
     : HttpServer(std::move(handler), Options()) {}
 
 HttpServer::HttpServer(Handler handler, Options options)
-    : handler_(std::move(handler)), options_(std::move(options)) {
-  if (options_.metrics != nullptr) {
-    queue_wait_hist_ = options_.metrics->GetHistogram("http_queue_wait_ms");
-    handler_hist_ = options_.metrics->GetHistogram("http_handler_ms");
-    requests_counter_ = options_.metrics->GetCounter("http_requests");
-    shed_counter_ = options_.metrics->GetCounter("http_shed");
-  }
-}
+    : handler_(std::move(handler)), options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -140,14 +132,15 @@ size_t HttpServer::queue_depth() const {
 }
 
 void HttpServer::Shed(int fd) {
+  // Counted before the 503 leaves, so a client that reads it always
+  // finds itself in requests_shed().
+  requests_shed_->Add();
   HttpResponse response;
   response.status = 503;
   response.body = "{\"error\":\"server overloaded, retry later\"}";
   response.extra_headers.emplace_back("Retry-After", "1");
   SendAll(fd, SerializeResponse(response, /*keep_alive=*/false));
   ::close(fd);
-  requests_shed_.fetch_add(1, std::memory_order_relaxed);
-  if (shed_counter_ != nullptr) shed_counter_->Add();
 }
 
 void HttpServer::AcceptLoop() {
@@ -209,7 +202,7 @@ void HttpServer::WorkerLoop() {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - conn.enqueued)
             .count();
-    if (queue_wait_hist_ != nullptr) queue_wait_hist_->RecordMs(waited_ms);
+    queue_wait_hist_->RecordMs(waited_ms);
     if (options_.queue_budget_ms > 0 && !stopping_.load() &&
         waited_ms > static_cast<double>(options_.queue_budget_ms)) {
       // Stale in the queue past the deadline budget: the client has
@@ -249,7 +242,7 @@ void HttpServer::ServeConnection(int fd, double queue_wait_ms) {
       HttpResponse error;
       error.status = parser.error_status();
       error.body = "{\"error\":\"" + parser.error_detail() + "\"}";
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
+      requests_served_->Add();
       SendAll(fd, SerializeResponse(error, /*keep_alive=*/false));
       return;  // framing is unrecoverable; drop the connection
     }
@@ -269,14 +262,11 @@ void HttpServer::ServeConnection(int fd, double queue_wait_ms) {
     const bool keep_alive = request.keep_alive;
     const auto handler_start = std::chrono::steady_clock::now();
     HttpResponse response = handler_(request);
-    if (handler_hist_ != nullptr) {
-      handler_hist_->RecordMs(std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() -
-                                  handler_start)
-                                  .count());
-    }
-    if (requests_counter_ != nullptr) requests_counter_->Add();
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    handler_hist_->RecordMs(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() -
+                                handler_start)
+                                .count());
+    requests_served_->Add();
     if (!SendAll(fd, SerializeResponse(response, keep_alive))) return;
     if (!keep_alive) return;
     parser.Reset();

@@ -38,14 +38,9 @@
 #include <unordered_set>
 
 #include "net/http.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/sync.h"
-
-namespace xsum::obs {
-class Counter;
-class Histogram;
-class Registry;
-}  // namespace xsum::obs
 
 namespace xsum::net {
 
@@ -92,7 +87,7 @@ class HttpServer {
     int queue_budget_ms = 0;
     /// Observability registry for per-request timing (queue wait and
     /// handler wall time histograms, request/shed counters). Must
-    /// outlive the server. nullptr disables the hooks.
+    /// outlive the server. nullptr = a registry the server owns.
     obs::Registry* metrics = nullptr;
   };
 
@@ -117,12 +112,14 @@ class HttpServer {
   uint16_t port() const { return port_; }
 
   /// Total connections accepted / requests answered (including error
-  /// responses), for tests and dashboards.
+  /// responses), for tests and dashboards. Requests answered is the
+  /// registry's `http_requests` counter.
   uint64_t connections_accepted() const { return connections_accepted_; }
-  uint64_t requests_served() const { return requests_served_; }
+  uint64_t requests_served() const { return requests_served_->Value(); }
   /// Connections shed by admission control (queue overflow or queue-delay
-  /// budget), each answered `503` before the close.
-  uint64_t requests_shed() const { return requests_shed_; }
+  /// budget), each answered `503` before the close: the registry's
+  /// `http_shed` counter, counted before the 503 leaves.
+  uint64_t requests_shed() const { return requests_shed_->Value(); }
   /// Connections currently waiting for a worker.
   size_t queue_depth() const;
 
@@ -145,11 +142,16 @@ class HttpServer {
   Handler handler_;
   Options options_;
 
-  /// Cached metric handles (null when Options::metrics is null).
-  obs::Histogram* queue_wait_hist_ = nullptr;
-  obs::Histogram* handler_hist_ = nullptr;
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
+  /// The registry every server counter lives in: `Options::metrics`, or
+  /// `own_metrics_` when none was given. Handles are cached once.
+  obs::Registry own_metrics_;
+  obs::Registry* metrics_ =
+      options_.metrics != nullptr ? options_.metrics : &own_metrics_;
+  obs::Histogram* queue_wait_hist_ =
+      metrics_->GetHistogram("http_queue_wait_ms");
+  obs::Histogram* handler_hist_ = metrics_->GetHistogram("http_handler_ms");
+  obs::Counter* requests_served_ = metrics_->GetCounter("http_requests");
+  obs::Counter* requests_shed_ = metrics_->GetCounter("http_shed");
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
@@ -170,8 +172,6 @@ class HttpServer {
   std::unordered_set<int> open_fds_ XSUM_GUARDED_BY(open_mutex_);
 
   std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_shed_{0};
 };
 
 }  // namespace xsum::net

@@ -561,10 +561,6 @@ std::string SummaryToJson(const core::Summary& summary,
   return json.Dump();
 }
 
-std::string ServiceStatsToJson(const ServiceStats& stats) {
-  return ServiceStatsToJsonValue(stats).Dump();
-}
-
 net::JsonValue ServiceStatsToJsonValue(const ServiceStats& stats) {
   net::JsonValue json = net::JsonValue::Object();
   json.Set("requests", stats.requests);
@@ -575,6 +571,8 @@ net::JsonValue ServiceStatsToJsonValue(const ServiceStats& stats) {
   json.Set("snapshot_swaps", stats.snapshot_swaps);
   json.Set("snapshot_version", stats.snapshot_version);
   json.Set("chains_imported", stats.chains_imported);
+  json.Set("batch_waves", stats.batch_waves);
+  json.Set("batch_requests", stats.batch_requests);
   json.Set("in_flight", stats.in_flight);
   json.Set("uptime_seconds", stats.uptime_seconds);
   json.Set("qps", stats.qps);

@@ -249,10 +249,7 @@ class SummaryHandler {
 std::string SummaryToJson(const core::Summary& summary,
                           uint64_t snapshot_version);
 
-/// Renders \p stats as the `/stats` document.
-std::string ServiceStatsToJson(const ServiceStats& stats);
-
-/// The `/stats` document as a JSON value (callers that merge additional
+/// The `/stats` document as a JSON value (callers merge additional
 /// sections before dumping — the handler itself, the router's fleet
 /// view).
 net::JsonValue ServiceStatsToJsonValue(const ServiceStats& stats);

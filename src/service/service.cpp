@@ -11,10 +11,6 @@ SummaryService::SummaryService(GraphSnapshotRegistry* registry,
                                const ServiceOptions& options)
     : registry_(registry), options_(options), cache_(options.cache) {
   if (options_.num_workers == 0) options_.num_workers = 1;
-  latency_hist_ = metrics_.GetHistogram("service_latency_ms");
-  compute_hist_ = metrics_.GetHistogram("service_compute_ms");
-  slot_wait_hist_ = metrics_.GetHistogram("service_slot_wait_ms");
-  batch_occupancy_hist_ = metrics_.GetHistogram("service_batch_occupancy");
   uptime_.Start();
 }
 
@@ -47,10 +43,11 @@ std::shared_ptr<SummaryService::ServingState> SummaryService::CurrentState() {
   if (state_ != nullptr && state_->snapshot.version >= fresh->snapshot.version) {
     return state_;  // someone else installed this (or a newer) version
   }
-  if (state_ != nullptr) ++snapshot_swaps_;
+  if (state_ != nullptr) snapshot_swaps_->Add();
   // In-flight requests keep pinning the old state (and through it the old
   // graph snapshot) until they finish; new requests route here.
   state_ = std::move(fresh);
+  snapshot_version_->Set(static_cast<int64_t>(state_->snapshot.version));
   return state_;
 }
 
@@ -111,11 +108,8 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeOn(
                    : reused            ? "incremental"
                                        : "fresh");
   }
-  {
-    sync::MutexLock lock(stats_mutex_);
-    ++computed_;
-    if (reused) ++incremental_;
-  }
+  computed_->Add();
+  if (reused) incremental_->Add();
   if (!result.ok()) return result.status();
   if (out_chain != nullptr && next_chain != nullptr &&
       next_chain->has_state) {
@@ -164,12 +158,9 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeWaveOn(
   if (trace != nullptr) {
     trace->AddSpan("compute", compute_start_ms, compute_ms, "wave");
   }
-  {
-    sync::MutexLock lock(stats_mutex_);
-    computed_ += tasks.size();
-    ++batch_waves_;
-    batch_requests_ += tasks.size();
-  }
+  computed_->Add(tasks.size());
+  batch_waves_->Add();
+  batch_requests_->Add(tasks.size());
   // Publish every member's result exactly as its own leader path would
   // have: cache insert (chain-free — waves record no checkpoints), flight
   // completion, single-flight deregistration. Members wake from their
@@ -207,11 +198,11 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
     uint64_t route_key, obs::Trace* trace) {
   WallTimer timer;
   timer.Start();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  in_flight_->Add(1);
   struct InFlightGuard {
-    std::atomic<int64_t>* gauge;
-    ~InFlightGuard() { gauge->fetch_sub(1, std::memory_order_relaxed); }
-  } in_flight_guard{&in_flight_};
+    obs::Gauge* gauge;
+    ~InFlightGuard() { gauge->Add(-1); }
+  } in_flight_guard{in_flight_};
   std::shared_ptr<ServingState> state = CurrentState();
   if (state == nullptr) {
     RecordLatency(timer.ElapsedMillis(), /*error=*/true);
@@ -272,12 +263,7 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
       status = flight->status;
       summary = flight->summary;
     }
-    // Counters after the flight lock dropped: the service mutexes are
-    // leaves, never held while another lock is taken (DESIGN.md §9.3).
-    {
-      sync::MutexLock stats_lock(stats_mutex_);
-      ++coalesced_;
-    }
+    coalesced_->Add();
     RecordLatency(timer.ElapsedMillis(), !status.ok());
     if (!status.ok()) return status;
     return summary;
@@ -447,43 +433,35 @@ Status SummaryService::ImportChain(const CacheKey& key, uint64_t route_key,
   cache_.InsertChainOnly(
       key, std::make_shared<const core::SummaryChain>(std::move(chain)),
       route_key);
-  {
-    sync::MutexLock lock(stats_mutex_);
-    ++chains_imported_;
-  }
+  chains_imported_->Add();
   return Status::OK();
 }
 
 void SummaryService::RecordLatency(double ms, bool error) {
-  // The histogram is lock-free; only the plain counters take the mutex.
   if (options_.enable_metrics) latency_hist_->RecordMs(ms);
-  sync::MutexLock lock(stats_mutex_);
-  ++requests_;
-  if (error) ++errors_;
+  requests_->Add();
+  if (error) errors_->Add();
 }
 
 ServiceStats SummaryService::Stats() const {
+  // Each field is one relaxed load of its registry handle, so Stats(),
+  // Metrics() and /stats can never disagree about a counter.
   ServiceStats stats;
   stats.cache = cache_.stats();
-  {
-    sync::MutexLock lock(state_mutex_);
-    stats.snapshot_swaps = snapshot_swaps_;
-    stats.snapshot_version =
-        state_ != nullptr ? state_->snapshot.version : 0;
-  }
-  stats.in_flight = in_flight_.load(std::memory_order_relaxed);
-  sync::MutexLock lock(stats_mutex_);
-  stats.requests = requests_;
-  stats.computed = computed_;
-  stats.incremental = incremental_;
-  stats.coalesced = coalesced_;
-  stats.errors = errors_;
-  stats.chains_imported = chains_imported_;
-  stats.batch_waves = batch_waves_;
-  stats.batch_requests = batch_requests_;
+  stats.requests = requests_->Value();
+  stats.computed = computed_->Value();
+  stats.incremental = incremental_->Value();
+  stats.coalesced = coalesced_->Value();
+  stats.errors = errors_->Value();
+  stats.snapshot_swaps = snapshot_swaps_->Value();
+  stats.snapshot_version = static_cast<uint64_t>(snapshot_version_->Value());
+  stats.chains_imported = chains_imported_->Value();
+  stats.batch_waves = batch_waves_->Value();
+  stats.batch_requests = batch_requests_->Value();
+  stats.in_flight = in_flight_->Value();
   stats.uptime_seconds = uptime_.ElapsedSeconds();
   stats.qps = stats.uptime_seconds > 0.0
-                  ? static_cast<double>(requests_) / stats.uptime_seconds
+                  ? static_cast<double>(stats.requests) / stats.uptime_seconds
                   : 0.0;
   // Percentiles come from the mergeable obs histogram (PR 7), which
   // keeps the service-level contract the old reservoir had: no traffic
@@ -506,28 +484,18 @@ ServiceStats SummaryService::Stats() const {
 
 obs::MetricsSnapshot SummaryService::Metrics() const {
   obs::MetricsSnapshot snap = metrics_.Snapshot();
-  const ServiceStats stats = Stats();
-  // Overlay the mutex-guarded service counters and the cache counters
-  // under stable names: everything here is a monotonic count or an
-  // additive gauge, so the router's `+=` over shard snapshots is exact.
-  snap.counters["service_requests"] = stats.requests;
-  snap.counters["service_computed"] = stats.computed;
-  snap.counters["service_incremental"] = stats.incremental;
-  snap.counters["service_coalesced"] = stats.coalesced;
-  snap.counters["service_errors"] = stats.errors;
-  snap.counters["service_snapshot_swaps"] = stats.snapshot_swaps;
-  snap.counters["service_chains_imported"] = stats.chains_imported;
-  snap.counters["service_batch_waves"] = stats.batch_waves;
-  snap.counters["service_batch_requests"] = stats.batch_requests;
-  snap.counters["cache_hits"] = stats.cache.hits;
-  snap.counters["cache_misses"] = stats.cache.misses;
-  snap.counters["cache_insertions"] = stats.cache.insertions;
-  snap.counters["cache_evictions"] = stats.cache.evictions;
-  snap.gauges["service_in_flight"] = stats.in_flight;
-  snap.gauges["service_snapshot_version"] =
-      static_cast<int64_t>(stats.snapshot_version);
-  snap.gauges["cache_entries"] = static_cast<int64_t>(stats.cache.entries);
-  snap.gauges["cache_bytes"] = static_cast<int64_t>(stats.cache.bytes);
+  // The cache counts per shard, under the shard lock its lookups already
+  // hold; every CacheStats field is exported here, counts as counters and
+  // levels as additive gauges, so the router's `+=` stays exact.
+  const CacheStats cache = cache_.stats();
+  snap.counters["cache_hits"] = cache.hits;
+  snap.counters["cache_misses"] = cache.misses;
+  snap.counters["cache_insertions"] = cache.insertions;
+  snap.counters["cache_evictions"] = cache.evictions;
+  snap.counters["cache_rejected"] = cache.rejected;
+  snap.gauges["cache_entries"] = static_cast<int64_t>(cache.entries);
+  snap.gauges["cache_bytes"] = static_cast<int64_t>(cache.bytes);
+  snap.gauges["cache_max_bytes"] = static_cast<int64_t>(cache.max_bytes);
   return snap;
 }
 

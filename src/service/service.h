@@ -26,7 +26,6 @@
 #ifndef XSUM_SERVICE_SERVICE_H_
 #define XSUM_SERVICE_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -167,25 +166,23 @@ class SummaryService {
   }
 
   /// Requests currently inside `Summarize`.
-  int64_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  int64_t in_flight() const { return in_flight_->Value(); }
 
-  /// Current counters.
+  /// Current counters, read from the registry handles below.
   ServiceStats Stats() const;
 
   /// The service's live metrics registry. The serving binary hands this
   /// to its `net::HttpServer` too, so one process exposes one registry.
   obs::Registry* metrics_registry() { return &metrics_; }
 
-  /// Mergeable snapshot of everything this process observes: registry
-  /// histograms plus the ServiceStats counters and cache counters,
-  /// overlaid under `service_*` / `cache_*` names. The router `+=`s these
-  /// across shards into the fleet-wide `/metrics` view.
+  /// Mergeable snapshot of everything this process observes: the
+  /// registry (every service counter, gauge and histogram) plus the
+  /// cache's per-shard counters under `cache_*` names. The router `+=`s
+  /// these across shards into the fleet-wide `/metrics` view.
   obs::MetricsSnapshot Metrics() const;
 
-  /// Cache counters only — no latency-lock contention, for callers that
-  /// poll a single number (the evaluation runner's accessors).
+  /// Cache counters only, for callers that poll a single number (the
+  /// evaluation runner's accessors).
   CacheStats cache_stats() const { return cache_.stats(); }
 
   /// Version the next request will be served on (observes the registry).
@@ -278,17 +275,15 @@ class SummaryService {
   /// Lock order within the service (DESIGN.md §9.3): every acquisition
   /// is leaf-like — no service mutex is ever taken while holding another
   /// — but the declared order pins the permitted direction should a
-  /// future change need to nest: state → flights → batches → stats.
+  /// future change need to nest: state → flights → batches.
   mutable sync::Mutex state_mutex_
-      XSUM_ACQUIRED_BEFORE(flights_mutex_, batches_mutex_, stats_mutex_);
+      XSUM_ACQUIRED_BEFORE(flights_mutex_, batches_mutex_);
   /// Guards the *pointer*; a ServingState returned from CurrentState()
   /// is pinned by the shared_ptr copy and used lock-free (§9.4), its own
   /// slot free-list guarded by its member mutex.
   std::shared_ptr<ServingState> state_ XSUM_GUARDED_BY(state_mutex_);
-  uint64_t snapshot_swaps_ XSUM_GUARDED_BY(state_mutex_) = 0;
 
-  sync::Mutex flights_mutex_
-      XSUM_ACQUIRED_BEFORE(batches_mutex_, stats_mutex_);
+  sync::Mutex flights_mutex_ XSUM_ACQUIRED_BEFORE(batches_mutex_);
   std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_
       XSUM_GUARDED_BY(flights_mutex_);
 
@@ -297,37 +292,44 @@ class SummaryService {
   /// options, which is exactly the equivalence class of requests whose
   /// kernel queries share one cost view. Entries live only while their
   /// window is open; the leader deregisters on close.
-  sync::Mutex batches_mutex_ XSUM_ACQUIRED_BEFORE(stats_mutex_);
+  sync::Mutex batches_mutex_;
   std::unordered_map<CacheKey, std::shared_ptr<BatchGroup>, CacheKeyHash>
       batches_ XSUM_GUARDED_BY(batches_mutex_);
 
-  /// Live metrics. The latency histogram is the percentile source of
-  /// truth (PR 7): log-bucketed, constant memory, and — unlike the
-  /// reservoir window it replaced — exactly mergeable across shards.
+  /// Live metrics: the one source of every service counter, read by
+  /// `Stats()`, `Metrics()` and `/stats` alike (DESIGN.md §9.4). The
+  /// latency histogram is the percentile source of truth: log-bucketed,
+  /// constant memory, and exactly mergeable across shards.
   obs::Registry metrics_;
-  obs::Histogram* latency_hist_;    // service_latency_ms
-  obs::Histogram* compute_hist_;    // service_compute_ms
-  obs::Histogram* slot_wait_hist_;  // service_slot_wait_ms
+  obs::Histogram* latency_hist_ = metrics_.GetHistogram("service_latency_ms");
+  obs::Histogram* compute_hist_ = metrics_.GetHistogram("service_compute_ms");
+  obs::Histogram* slot_wait_hist_ =
+      metrics_.GetHistogram("service_slot_wait_ms");
   /// Achieved window occupancy (requests gathered per closed window,
   /// recorded once per window; 1 = the window expired with no joiners and
   /// fell back to a plain chain-recording compute). The log2 buckets are
   /// unit-agnostic — occupancy counts land in the low integer buckets
   /// exactly — so the shared histogram type merges across the fleet like
   /// every other registry histogram.
-  obs::Histogram* batch_occupancy_hist_;  // service_batch_occupancy
-
-  mutable sync::Mutex stats_mutex_;
-  uint64_t requests_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t computed_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t incremental_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t coalesced_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t errors_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t chains_imported_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t batch_waves_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t batch_requests_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  /// Lock-free (§9.4): polled by the drain sequence while requests run;
-  /// a single word with no cross-field invariant.
-  std::atomic<int64_t> in_flight_{0};
+  obs::Histogram* batch_occupancy_hist_ =
+      metrics_.GetHistogram("service_batch_occupancy");
+  obs::Counter* requests_ = metrics_.GetCounter("service_requests");
+  obs::Counter* computed_ = metrics_.GetCounter("service_computed");
+  obs::Counter* incremental_ = metrics_.GetCounter("service_incremental");
+  obs::Counter* coalesced_ = metrics_.GetCounter("service_coalesced");
+  obs::Counter* errors_ = metrics_.GetCounter("service_errors");
+  obs::Counter* snapshot_swaps_ =
+      metrics_.GetCounter("service_snapshot_swaps");
+  obs::Counter* chains_imported_ =
+      metrics_.GetCounter("service_chains_imported");
+  obs::Counter* batch_waves_ = metrics_.GetCounter("service_batch_waves");
+  obs::Counter* batch_requests_ =
+      metrics_.GetCounter("service_batch_requests");
+  /// Polled by the drain sequence while requests run.
+  obs::Gauge* in_flight_ = metrics_.GetGauge("service_in_flight");
+  /// Version of the installed serving state (0 before the first request).
+  obs::Gauge* snapshot_version_ =
+      metrics_.GetGauge("service_snapshot_version");
   WallTimer uptime_;
 };
 

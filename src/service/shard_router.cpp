@@ -128,8 +128,6 @@ void ShardRouter::HedgePool::WorkerLoop() {
 
 ShardRouter::ShardRouter(SummaryHandler* local, Options options)
     : local_(local), options_(std::move(options)) {
-  attempt_hist_ = metrics_.GetHistogram("router_attempt_ms");
-  scrape_errors_ = metrics_.GetCounter("router_scrape_errors");
   for (const std::string& label : options_.endpoints) {
     auto parsed = ParseEndpoint(label);
     if (!parsed.ok()) {
@@ -152,12 +150,8 @@ ShardRouter::ShardRouter(SummaryHandler* local, Options options)
     }
   }
   std::sort(ring_.begin(), ring_.end());
-  {
-    // The analysis does not exempt constructors; probe/hedge threads
-    // spawned below could in principle race this write anyway.
-    sync::MutexLock lock(stats_mutex_);
-    stats_.per_endpoint.assign(endpoints_.size(), 0);
-  }
+  metrics_.GetGauge("router_endpoints")
+      ->Set(static_cast<int64_t>(endpoints_.size()));
   if (options_.health_probes && !endpoints_.empty()) {
     probe_thread_ = std::thread([this] { ProbeLoop(); });
   }
@@ -174,7 +168,7 @@ ShardRouter::~ShardRouter() {
   }
   stop_cv_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
-  // Joins the hedge workers while endpoints_ and stats_ still exist for
+  // Joins the hedge workers while endpoints_ and metrics_ still exist for
   // any in-flight hedged primary.
   hedge_pool_.reset();
 }
@@ -337,9 +331,7 @@ Result<net::HttpResponse> ShardRouter::AttemptOnce(size_t endpoint_index,
   }
   if (result.ok()) {
     attempt_hist_->RecordMs(ms);
-    const bool reinstated = endpoint.health.RecordSuccess(ms);
-    sync::MutexLock lock(stats_mutex_);
-    if (reinstated) ++stats_.reinstatements;
+    if (endpoint.health.RecordSuccess(ms)) reinstatements_->Add();
   } else {
     // Rate-limited: during a fleet outage every request to a dead shard
     // reaches this line, and an unthrottled WARN per attempt would melt
@@ -351,8 +343,7 @@ Result<net::HttpResponse> ShardRouter::AttemptOnce(size_t endpoint_index,
           << " unreachable: " << result.status().ToString();
     }
     if (endpoint.health.RecordFailure(std::chrono::steady_clock::now())) {
-      sync::MutexLock lock(stats_mutex_);
-      ++stats_.ejections;
+      ejections_->Add();
     }
   }
   return result;
@@ -418,10 +409,7 @@ Result<net::HttpResponse> ShardRouter::HedgedAttempt(
     // Primary still pending past the delay: race the next replica. The
     // two responses are byte-identical (§6 invariant), so whichever
     // lands first is *the* answer.
-    {
-      sync::MutexLock stats_lock(stats_mutex_);
-      ++stats_.hedges;
-    }
+    hedges_->Add();
     if (trace != nullptr) {
       trace->AddSpan("hedge.fire", trace->ElapsedMs(), 0.0,
                      endpoints_[secondary]->label);
@@ -441,10 +429,7 @@ Result<net::HttpResponse> ShardRouter::HedgedAttempt(
           return std::move(round->result);
         }
       }
-      if (hedge_win) {
-        sync::MutexLock stats_lock(stats_mutex_);
-        ++stats_.hedge_wins;
-      }
+      if (hedge_win) hedge_wins_->Add();
       *served = secondary;
       return second;
     }
@@ -506,9 +491,6 @@ net::HttpResponse ShardRouter::SummarizeRouted(
       // Failover accounting covers both shapes of rerouting: attempts
       // that failed at the transport this request, and unselectable
       // (ejected/draining) ring predecessors the plan skipped outright.
-      // Endpoint health is snapshotted *before* taking the stats lock:
-      // stats_mutex_ is a leaf capability and never wraps a health call
-      // (DESIGN.md §9.3).
       uint64_t skipped = 0;
       for (size_t j = 0; j < order.size() && order[j] != served; ++j) {
         if (!endpoints_[order[j]]->health.Selectable()) ++skipped;
@@ -519,12 +501,9 @@ net::HttpResponse ShardRouter::SummarizeRouted(
       // landed yet. The request still left its home endpoint, and that
       // is a failover even before the circuit breaker catches up.
       if (moved == 0 && served != order.front()) moved = 1;
-      {
-        sync::MutexLock lock(stats_mutex_);
-        ++stats_.routed;
-        stats_.failovers += moved;
-        ++stats_.per_endpoint[served];
-      }
+      routed_->Add();
+      failovers_->Add(moved);
+      endpoints_[served]->requests.Add();
       // The shard echoed the propagated trace ID; the router re-echoes
       // at its own edge, so drop the inner copy to keep one header on
       // the wire.
@@ -540,16 +519,10 @@ net::HttpResponse ShardRouter::SummarizeRouted(
       return *std::move(result);
     }
   }
-  {
-    sync::MutexLock lock(stats_mutex_);
-    stats_.failovers += static_cast<uint64_t>(failures);
-    if (capped) ++stats_.capped;
-  }
+  failovers_->Add(static_cast<uint64_t>(failures));
+  if (capped) capped_->Add();
   if (local_ != nullptr && (options_.local_fallback || order.empty())) {
-    {
-      sync::MutexLock lock(stats_mutex_);
-      ++stats_.local;
-    }
+    local_answers_->Add();
     obs::SpanTimer local_span(trace.get(), "local.fallback");
     return local_->Summarize(request, trace.get());
   }
@@ -581,20 +554,16 @@ void ShardRouter::ProbeLoop() {
                               options_.liveness_interval_ms)) {
         continue;
       }
-      {
-        sync::MutexLock lock(stats_mutex_);
-        ++stats_.probes;
-      }
+      probes_->Add();
       const EndpointHealth::State before = health.state();
       const bool ok = ProbeOnce(e);
       const bool reinstated =
           health.OnProbeResult(ok, std::chrono::steady_clock::now());
       const EndpointHealth::State after = health.state();
-      sync::MutexLock lock(stats_mutex_);
-      if (reinstated) ++stats_.reinstatements;
+      if (reinstated) reinstatements_->Add();
       if (before != EndpointHealth::State::kEjected &&
           after == EndpointHealth::State::kEjected) {
-        ++stats_.ejections;
+        ejections_->Add();
       }
     }
   }
@@ -640,10 +609,7 @@ net::HttpResponse ShardRouter::DrainEndpoint(const std::string& label,
   // Stop selecting the shard *before* asking it to drain, so no request
   // races into it between the flip and the export.
   endpoints_[source]->health.set_draining(true);
-  {
-    sync::MutexLock lock(stats_mutex_);
-    ++stats_.drains;
-  }
+  drains_->Add();
   net::JsonValue drain_body = net::JsonValue::Object();
   drain_body.Set("wait_ms", static_cast<int64_t>(wait_ms));
   auto drained = Forward(source, "/drain", drain_body.Dump());
@@ -727,9 +693,8 @@ net::HttpResponse ShardRouter::DrainEndpoint(const std::string& label,
       if (const net::JsonValue* imported = imported_json->Find("imported")) {
         if (imported->is_int()) {
           row.Set("imported", imported->AsInt());
-          sync::MutexLock lock(stats_mutex_);
-          stats_.chains_handed_off +=
-              static_cast<uint64_t>(std::max<int64_t>(0, imported->AsInt()));
+          chains_handed_off_->Add(
+              static_cast<uint64_t>(std::max<int64_t>(0, imported->AsInt())));
         }
       }
     }
@@ -814,27 +779,12 @@ net::HttpResponse ShardRouter::RouterStatsResponse() {
   return response;
 }
 
-obs::MetricsSnapshot ShardRouter::FleetMetrics() {
-  obs::MetricsSnapshot merged = metrics_.Snapshot();
-  {
-    const RouterStats rs = stats();
-    merged.counters["router_routed"] += rs.routed;
-    merged.counters["router_local"] += rs.local;
-    merged.counters["router_failovers"] += rs.failovers;
-    merged.counters["router_capped"] += rs.capped;
-    merged.counters["router_hedges"] += rs.hedges;
-    merged.counters["router_hedge_wins"] += rs.hedge_wins;
-    merged.counters["router_ejections"] += rs.ejections;
-    merged.counters["router_reinstatements"] += rs.reinstatements;
-    merged.counters["router_probes"] += rs.probes;
-    merged.counters["router_drains"] += rs.drains;
-    merged.counters["router_chains_handed_off"] += rs.chains_handed_off;
-    merged.gauges["router_endpoints"] =
-        static_cast<int64_t>(endpoints_.size());
-  }
-  if (local_ != nullptr) merged += local_->service()->Metrics();
+template <typename Snapshot>
+void ShardRouter::MergeShardScrapes(
+    const std::string& target,
+    Result<Snapshot> (*from_json)(const net::JsonValue&), Snapshot* merged) {
   for (size_t e = 0; e < endpoints_.size(); ++e) {
-    auto scraped = Forward(e, "/metrics.json", "");
+    auto scraped = Forward(e, target, "");
     if (!scraped.ok() || scraped->status != 200) {
       scrape_errors_->Add();
       continue;
@@ -844,13 +794,19 @@ obs::MetricsSnapshot ShardRouter::FleetMetrics() {
       scrape_errors_->Add();
       continue;
     }
-    auto snapshot = obs::MetricsSnapshotFromJson(*json);
+    auto snapshot = from_json(*json);
     if (!snapshot.ok()) {
       scrape_errors_->Add();
       continue;
     }
-    merged += *snapshot;
+    *merged += *snapshot;
   }
+}
+
+obs::MetricsSnapshot ShardRouter::FleetMetrics() {
+  obs::MetricsSnapshot merged = metrics_.Snapshot();
+  if (local_ != nullptr) merged += local_->service()->Metrics();
+  MergeShardScrapes("/metrics.json", &obs::MetricsSnapshotFromJson, &merged);
   return merged;
 }
 
@@ -869,27 +825,7 @@ net::HttpResponse ShardRouter::HandleMetrics(bool json_form) {
 eval::EvalStatsSnapshot ShardRouter::FleetEvalStats() {
   eval::EvalStatsSnapshot merged;
   if (local_ != nullptr) merged += local_->EvalSnapshot();
-  // Same scrape-and-merge contract as FleetMetrics: each shard's
-  // /evalstats parses strictly, merges with the exact integer +=, and a
-  // failed scrape skips the shard and counts a router_scrape_errors.
-  for (size_t e = 0; e < endpoints_.size(); ++e) {
-    auto scraped = Forward(e, "/evalstats", "");
-    if (!scraped.ok() || scraped->status != 200) {
-      scrape_errors_->Add();
-      continue;
-    }
-    auto json = net::ParseJson(scraped->body);
-    if (!json.ok()) {
-      scrape_errors_->Add();
-      continue;
-    }
-    auto snapshot = eval::EvalStatsSnapshotFromJson(*json);
-    if (!snapshot.ok()) {
-      scrape_errors_->Add();
-      continue;
-    }
-    merged += *snapshot;
-  }
+  MergeShardScrapes("/evalstats", &eval::EvalStatsSnapshotFromJson, &merged);
   return merged;
 }
 
@@ -1044,8 +980,23 @@ net::HttpResponse ShardRouter::Handle(const net::HttpRequest& request) {
 }
 
 RouterStats ShardRouter::stats() const {
-  sync::MutexLock lock(stats_mutex_);
-  return stats_;
+  RouterStats rs;
+  rs.routed = routed_->Value();
+  rs.local = local_answers_->Value();
+  rs.failovers = failovers_->Value();
+  rs.capped = capped_->Value();
+  rs.hedges = hedges_->Value();
+  rs.hedge_wins = hedge_wins_->Value();
+  rs.ejections = ejections_->Value();
+  rs.reinstatements = reinstatements_->Value();
+  rs.probes = probes_->Value();
+  rs.drains = drains_->Value();
+  rs.chains_handed_off = chains_handed_off_->Value();
+  rs.per_endpoint.reserve(endpoints_.size());
+  for (const auto& endpoint : endpoints_) {
+    rs.per_endpoint.push_back(endpoint->requests.Value());
+  }
+  return rs;
 }
 
 }  // namespace xsum::service

@@ -50,12 +50,12 @@
 /// inheritor so the §5 incremental k-sweep reuse survives the departure.
 ///
 /// Observability. The router owns an `obs::Registry` (attempt latency
-/// histogram, scrape-failure counter) and a bounded `obs::TraceLog`. A
-/// routed request carries one trace ID end to end: adopted from the
-/// inbound `X-Xsum-Trace` header (or minted here), attached to every
-/// replica attempt, failover, and hedge as spans, and propagated to the
-/// shards as a request header so each involved endpoint's `/traces` shows
-/// the same ID. `GET /metrics` answers the *fleet* view: the router's own
+/// histogram and every `RouterStats` counter) and a bounded
+/// `obs::TraceLog`. A routed request carries one trace ID end to end:
+/// adopted from the inbound `X-Xsum-Trace` header (or minted here),
+/// attached to every replica attempt, failover, and hedge as spans, and
+/// propagated to the shards as a request header so each involved
+/// endpoint's `/traces` shows the same ID. `GET /metrics` answers the *fleet* view: the router's own
 /// snapshot, the local service's (when present), and every shard's
 /// scraped `/metrics.json`, merged with the exact integer `+=` — bucket
 /// counts equal the sum of the per-shard scrapes.
@@ -97,7 +97,8 @@ uint64_t UnitFingerprint(const SummaryRequest& request);
 Result<std::pair<std::string, uint16_t>> ParseEndpoint(
     const std::string& endpoint);
 
-/// \brief Router counters.
+/// \brief Router counters: a typed view of the router registry's
+/// `router_*` counters and the per-endpoint request counters.
 struct RouterStats {
   uint64_t routed = 0;     ///< requests answered by a shard backend
   uint64_t local = 0;      ///< answered by the in-process fallback
@@ -192,11 +193,10 @@ class ShardRouter {
   /// Routes one parsed summarize request (bench/driver entry).
   net::HttpResponse Summarize(const SummaryRequest& request);
 
-  /// The fleet-wide metrics view: this router's registry (with the
-  /// RouterStats counters overlaid), the local service's snapshot when a
-  /// local handler exists, and every shard's scraped `/metrics.json`,
-  /// merged exactly. A shard that fails to scrape is skipped and counted
-  /// in `router_scrape_errors`.
+  /// The fleet-wide metrics view: this router's registry, the local
+  /// service's snapshot when a local handler exists, and every shard's
+  /// scraped `/metrics.json`, merged exactly. A shard that fails to
+  /// scrape is skipped and counted in `router_scrape_errors`.
   obs::MetricsSnapshot FleetMetrics();
 
   /// The fleet-wide evaluation sufficient statistics: the local
@@ -261,6 +261,8 @@ class ShardRouter {
     sync::Mutex mutex XSUM_ACQUIRED_BEFORE(health.mu());
     std::vector<std::unique_ptr<net::HttpClient>> idle
         XSUM_GUARDED_BY(mutex);
+    /// Requests this endpoint answered (`RouterStats::per_endpoint`).
+    obs::Counter requests;
   };
 
   /// \brief Fixed worker pool that carries hedged primary attempts.
@@ -325,6 +327,16 @@ class ShardRouter {
   net::HttpResponse SummarizeRouted(const SummaryRequest& request,
                                     const std::shared_ptr<obs::Trace>& trace);
 
+  /// The scrape-and-merge step shared by `FleetMetrics` and
+  /// `FleetEvalStats`: GETs \p target from every endpoint, parses each
+  /// body strictly with \p from_json, and `+=`s it into \p merged. A
+  /// failed fetch, parse, or shape check skips that shard and counts
+  /// `router_scrape_errors` — never a guessed value.
+  template <typename Snapshot>
+  void MergeShardScrapes(const std::string& target,
+                         Result<Snapshot> (*from_json)(const net::JsonValue&),
+                         Snapshot* merged);
+
   net::HttpResponse HandleMetrics(bool json_form);
   net::HttpResponse HandleEvalStats();
   net::HttpResponse HandleTraces();
@@ -349,18 +361,26 @@ class ShardRouter {
   /// Sorted (point, endpoint index) ring.
   std::vector<std::pair<uint64_t, size_t>> ring_;
 
-  /// Leaf capability: stats_mutex_ is never held while any endpoint or
-  /// breaker lock is taken (SummarizeRouted snapshots endpoint health
-  /// *before* counting, for exactly this reason).
-  mutable sync::Mutex stats_mutex_;
-  RouterStats stats_ XSUM_GUARDED_BY(stats_mutex_);
-
-  /// Router-side live metrics; the attempt histogram doubles as the
-  /// adaptive hedge delay's p99 source (full-history and mergeable,
-  /// unlike the reservoir window it replaced).
+  /// Router-side live metrics, the one source of every `RouterStats`
+  /// counter (lock-free, DESIGN.md §9.4). The attempt histogram doubles
+  /// as the adaptive hedge delay's p99 source (full-history and
+  /// mergeable).
   obs::Registry metrics_;
-  obs::Histogram* attempt_hist_;    // router_attempt_ms
-  obs::Counter* scrape_errors_;     // router_scrape_errors
+  obs::Histogram* attempt_hist_ = metrics_.GetHistogram("router_attempt_ms");
+  obs::Counter* scrape_errors_ = metrics_.GetCounter("router_scrape_errors");
+  obs::Counter* routed_ = metrics_.GetCounter("router_routed");
+  obs::Counter* local_answers_ = metrics_.GetCounter("router_local");
+  obs::Counter* failovers_ = metrics_.GetCounter("router_failovers");
+  obs::Counter* capped_ = metrics_.GetCounter("router_capped");
+  obs::Counter* hedges_ = metrics_.GetCounter("router_hedges");
+  obs::Counter* hedge_wins_ = metrics_.GetCounter("router_hedge_wins");
+  obs::Counter* ejections_ = metrics_.GetCounter("router_ejections");
+  obs::Counter* reinstatements_ =
+      metrics_.GetCounter("router_reinstatements");
+  obs::Counter* probes_ = metrics_.GetCounter("router_probes");
+  obs::Counter* drains_ = metrics_.GetCounter("router_drains");
+  obs::Counter* chains_handed_off_ =
+      metrics_.GetCounter("router_chains_handed_off");
 
   std::atomic<bool> trace_enabled_{true};
   obs::TraceLog trace_log_;
@@ -370,7 +390,7 @@ class ShardRouter {
   bool stopping_ XSUM_GUARDED_BY(stop_mutex_) = false;
   std::thread probe_thread_;
   /// Declared last: destroyed (joined) first, while endpoints_ and the
-  /// stats still exist for in-flight hedged primaries.
+  /// metrics still exist for in-flight hedged primaries.
   std::unique_ptr<HedgePool> hedge_pool_;
 };
 

@@ -19,6 +19,7 @@
 
 #include "net/http_client.h"
 #include "net/json.h"
+#include "obs/metrics.h"
 
 namespace xsum::net {
 namespace {
@@ -155,6 +156,26 @@ TEST(HttpServerTest, GarbageGets400AndConnectionCloses) {
   const std::string response = raw.ReadAll();
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, FramingErrorsCountInHttpRequests) {
+  // requests_served() and the registry's http_requests are one counter:
+  // a framing-error answer counts in both, exactly like a handled one.
+  obs::Registry registry;
+  HttpServer::Options options = TestOptions();
+  options.metrics = &registry;
+  HttpServer server(EchoHandler, options);
+  ASSERT_TRUE(server.Start().ok());
+  HttpClient client("127.0.0.1", server.port());
+  ASSERT_TRUE(client.Get("/ok").ok());
+  RawConnection raw(server.port());
+  ASSERT_TRUE(raw.connected());
+  raw.Send("THIS IS NOT HTTP\r\n\r\n");
+  EXPECT_NE(raw.ReadAll().find("400 Bad Request"), std::string::npos);
+  EXPECT_EQ(server.requests_served(), 2u);
+  EXPECT_EQ(registry.Snapshot().counters.at("http_requests"),
+            server.requests_served());
   server.Stop();
 }
 

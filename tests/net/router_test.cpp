@@ -389,10 +389,9 @@ TEST_F(RouterTest, BoundedFailoverCapsTheWalkAndCounts) {
 }
 
 TEST_F(RouterTest, EjectionThenProbeReinstatementWhenTheShardRejoins) {
-  auto shard_a = StartShard();
-  auto shard_b = StartShard();
+  std::unique_ptr<Shard> shards[2] = {StartShard(), StartShard()};
   ShardRouter::Options options;
-  options.endpoints = {shard_a->endpoint(), shard_b->endpoint()};
+  options.endpoints = {shards[0]->endpoint(), shards[1]->endpoint()};
   options.timeout_ms = 1000;
   options.hedge = false;  // deterministic attempt accounting
   options.health.failure_threshold = 1;
@@ -402,58 +401,55 @@ TEST_F(RouterTest, EjectionThenProbeReinstatementWhenTheShardRejoins) {
   options.liveness_interval_ms = 0;  // only ejected endpoints are probed
   ShardRouter router(nullptr, options);
 
-  // A request homed on B, with B dead: answered by A, B ejected.
-  SummaryRequest on_b;
-  bool found = false;
-  for (const auto& entry : catalog_->entries()) {
-    on_b.unit = entry.unit;
-    on_b.k = entry.k;
-    if (router.EndpointFor(on_b) == 1) {
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  const uint16_t port_b = shard_b->server->port();
-  shard_b->server->Stop();
+  // The victim is wherever the first catalog request homes: the ring
+  // hashes ephemeral-port labels, so a fixed index may home no unit.
+  SummaryRequest on_victim;
+  on_victim.unit = catalog_->entries().front().unit;
+  on_victim.k = catalog_->entries().front().k;
+  const size_t victim = router.EndpointFor(on_victim);
+  ASSERT_LT(victim, 2u);
+  const uint16_t victim_port = shards[victim]->server->port();
+  shards[victim]->server->Stop();
 
-  ASSERT_EQ(router.Summarize(on_b).status, 200);
-  EXPECT_EQ(router.endpoint_state(1), EndpointHealth::State::kEjected);
+  // A request homed on the victim, with the victim dead: answered by the
+  // survivor, the victim ejected.
+  ASSERT_EQ(router.Summarize(on_victim).status, 200);
+  EXPECT_EQ(router.endpoint_state(victim), EndpointHealth::State::kEjected);
   {
     const RouterStats stats = router.stats();
     EXPECT_GE(stats.ejections, 1u);
     EXPECT_GE(stats.failovers, 1u);
-    EXPECT_EQ(stats.per_endpoint[1], 0u);
+    EXPECT_EQ(stats.per_endpoint[victim], 0u);
   }
-  // While ejected, B is skipped outright, not re-attempted: the next
-  // request adds exactly one skip-failover and zero transport failures
-  // (an attempted-and-failed B would add two).
+  // While ejected, the victim is skipped outright, not re-attempted: the
+  // next request adds exactly one skip-failover and zero transport
+  // failures (an attempted-and-failed victim would add two).
   const uint64_t failovers_before = router.stats().failovers;
-  ASSERT_EQ(router.Summarize(on_b).status, 200);
+  ASSERT_EQ(router.Summarize(on_victim).status, 200);
   EXPECT_EQ(router.stats().failovers, failovers_before + 1);
 
   // The shard rejoins on its old address; the probe loop notices and
   // reinstates it without any request-path help.
-  auto shard_b2 = StartShard(port_b);
+  shards[victim] = StartShard(victim_port);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (router.endpoint_state(1) != EndpointHealth::State::kHealthy &&
+  while (router.endpoint_state(victim) != EndpointHealth::State::kHealthy &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_EQ(router.endpoint_state(1), EndpointHealth::State::kHealthy)
+  ASSERT_EQ(router.endpoint_state(victim), EndpointHealth::State::kHealthy)
       << "probe loop never reinstated the rejoined shard";
   {
     const RouterStats stats = router.stats();
     EXPECT_GE(stats.reinstatements, 1u);
     EXPECT_GE(stats.probes, 1u);
   }
-  // Traffic homed on B lands on B again.
-  ASSERT_EQ(router.Summarize(on_b).status, 200);
-  EXPECT_GT(router.stats().per_endpoint[1], 0u);
+  // Traffic homed on the victim lands on it again.
+  ASSERT_EQ(router.Summarize(on_victim).status, 200);
+  EXPECT_GT(router.stats().per_endpoint[victim], 0u);
 
-  shard_a->server->Stop();
-  shard_b2->server->Stop();
+  shards[0]->server->Stop();
+  shards[1]->server->Stop();
 }
 
 TEST_F(RouterTest, ReadyzFollowsTheDrainLifecycle) {

@@ -14,8 +14,9 @@
 ///
 /// All queries share one batch-engine context whose workspace grows to the
 /// largest graph and is epoch-reused across sizes — the cross-graph reuse
-/// path of `core::SummarizeContext`. Cells land as JSON perf records when
-/// XSUM_JSON is set.
+/// path of `core::SummarizeContext` — and each graph's queries share its
+/// `core::SharedCostViews`, as the engine's do. Cells land as JSON perf
+/// records when XSUM_JSON is set.
 
 #include <vector>
 
@@ -98,6 +99,7 @@ int main() {
       auto synth = data::ScalingConfig(total_nodes, /*seed=*/44);
       const data::Dataset ds = data::MakeSyntheticDataset(synth);
       const auto rg = bench::ValueOrDie(data::BuildRecGraph(ds), "graph");
+      const core::SharedCostViews views(rg);
       Rng rng(91);
 
       StatAccumulator t_uc, t_ug, m_uc, m_ug;
@@ -116,7 +118,7 @@ int main() {
         if (recs.recs.empty()) continue;
         const auto task = core::MakeUserCentricTask(rg, recs, kK);
         const auto summary = bench::ValueOrDie(
-            core::SummarizeWith(rg, task, options, ctx), "sum");
+            core::SummarizeWith(rg, task, options, ctx, views), "sum");
         t_uc.Add(summary.elapsed_ms);
         m_uc.Add(static_cast<double>(summary.memory_bytes) / (1024.0 * 1024.0));
       }
@@ -141,7 +143,7 @@ int main() {
         if (group.empty()) continue;
         const auto task = core::MakeUserGroupTask(rg, group, kK);
         const auto summary = bench::ValueOrDie(
-            core::SummarizeWith(rg, task, options, ctx), "sum");
+            core::SummarizeWith(rg, task, options, ctx, views), "sum");
         t_ug.Add(summary.elapsed_ms);
         m_ug.Add(static_cast<double>(summary.memory_bytes) / (1024.0 * 1024.0));
         ++group_tasks;

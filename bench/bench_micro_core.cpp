@@ -5,9 +5,7 @@
 /// Complements the paper-shaped tables of bench_fig09/10/11 with per-op
 /// timings.
 ///
-/// Each search primitive comes in flavours:
-///  - the plain name is the single-shot path (a fresh O(|V|) workspace and
-///    a throwaway cost view per query — what a cold caller pays),
+/// Each search primitive comes in two flavours:
 ///  - the `SeedRef` suffix is a verbatim transcription of the *seed*
 ///    algorithm (commit "v0": per-call allocation, binary heap with
 ///    duplicate entries, unordered containers, per-relaxation cost
@@ -76,18 +74,17 @@ struct HeapEntry {
 using MinHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
-struct ShortestPathTree {
+struct PathTree {
   std::vector<double> dist;
   std::vector<graph::NodeId> parent_node;
   std::vector<graph::EdgeId> parent_edge;
 };
 
-ShortestPathTree Dijkstra(const graph::KnowledgeGraph& g,
-                          const std::vector<double>& costs,
-                          graph::NodeId source,
-                          const std::vector<graph::NodeId>& targets) {
+PathTree Dijkstra(const graph::KnowledgeGraph& g,
+                  const std::vector<double>& costs, graph::NodeId source,
+                  const std::vector<graph::NodeId>& targets) {
   const size_t n = g.num_nodes();
-  ShortestPathTree tree;
+  PathTree tree;
   tree.dist.assign(n, graph::kInfDistance);
   tree.parent_node.assign(n, graph::kInvalidNode);
   tree.parent_edge.assign(n, graph::kInvalidEdge);
@@ -132,7 +129,7 @@ graph::Subgraph SteinerKmb(const graph::KnowledgeGraph& g,
   const size_t t = terminals.size();
   std::vector<double> closure(t * t, graph::kInfDistance);
   for (size_t i = 0; i < t; ++i) {
-    const ShortestPathTree tree =
+    const PathTree tree =
         seed_ref::Dijkstra(g, costs, terminals[i], terminals);
     for (size_t j = 0; j < t; ++j) {
       closure[i * t + j] = tree.dist[terminals[j]];
@@ -155,7 +152,7 @@ graph::Subgraph SteinerKmb(const graph::KnowledgeGraph& g,
   for (const auto& [src_idx, dst_indices] : by_source) {
     std::vector<graph::NodeId> targets;
     for (size_t j : dst_indices) targets.push_back(terminals[j]);
-    const ShortestPathTree tree =
+    const PathTree tree =
         seed_ref::Dijkstra(g, costs, terminals[src_idx], targets);
     for (graph::NodeId target : targets) {
       graph::NodeId v = target;
@@ -369,20 +366,6 @@ std::vector<graph::NodeId> PickTerminals(const data::RecGraph& rg, size_t t,
   return terminals;
 }
 
-void BM_Dijkstra(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const auto costs = core::WeightsToCosts(rg.base_weights());
-  Rng rng(7);
-  for (auto _ : state) {
-    const auto src =
-        rg.UserNode(static_cast<uint32_t>(rng.Uniform(rg.num_users())));
-    benchmark::DoNotOptimize(graph::Dijkstra(rg.graph(), costs, src));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rg.graph().num_edges()));
-}
-BENCHMARK(BM_Dijkstra);
-
 void BM_DijkstraSeedRef(benchmark::State& state) {
   const auto& rg = FixtureGraph();
   const auto costs = core::WeightsToCosts(rg.base_weights());
@@ -419,31 +402,22 @@ void BM_DijkstraCostView(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraCostView);
 
-void BM_MultiSourceDijkstra(benchmark::State& state) {
+void BM_MultiSourceDijkstraCostView(benchmark::State& state) {
   const auto& rg = FixtureGraph();
-  const auto costs = core::WeightsToCosts(rg.base_weights());
+  const graph::CostView& view = FixtureCostView();
   const auto terminals =
       PickTerminals(rg, static_cast<size_t>(state.range(0)), 11);
+  graph::SearchWorkspace ws;
+  WallTimer timer;
+  timer.Start();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::MultiSourceDijkstra(rg.graph(), costs, terminals));
+    graph::MultiSourceDijkstraInto(view, terminals, ws);
+    benchmark::DoNotOptimize(ws);
   }
+  EmitMicroPerf(state, "MultiSourceDijkstraCostView", terminals.size(),
+                timer.ElapsedMillis());
 }
-BENCHMARK(BM_MultiSourceDijkstra)->Arg(11)->Arg(101);
-
-void BM_SteinerKmb(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const auto costs = core::WeightsToCosts(rg.base_weights());
-  const auto terminals =
-      PickTerminals(rg, static_cast<size_t>(state.range(0)), 13);
-  core::SteinerOptions options;
-  options.variant = core::SteinerOptions::Variant::kKmb;
-  for (auto _ : state) {
-    auto result = core::SteinerTree(rg.graph(), costs, terminals, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SteinerKmb)->Arg(11)->Arg(51);
+BENCHMARK(BM_MultiSourceDijkstraCostView)->Arg(11)->Arg(101);
 
 void BM_SteinerKmbSeedRef(benchmark::State& state) {
   const auto& rg = FixtureGraph();
@@ -572,20 +546,6 @@ BENCHMARK(BM_MultiQueryKernel)
     ->ArgsProduct({{8, 16}, {0, 1}})
     ->ArgNames({"B", "wave"});
 
-void BM_SteinerMehlhorn(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const auto costs = core::WeightsToCosts(rg.base_weights());
-  const auto terminals =
-      PickTerminals(rg, static_cast<size_t>(state.range(0)), 13);
-  core::SteinerOptions options;
-  options.variant = core::SteinerOptions::Variant::kMehlhorn;
-  for (auto _ : state) {
-    auto result = core::SteinerTree(rg.graph(), costs, terminals, options);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_SteinerMehlhorn)->Arg(11)->Arg(51)->Arg(201);
-
 void BM_SteinerMehlhornCostView(benchmark::State& state) {
   const auto& rg = FixtureGraph();
   const graph::CostView& view = FixtureCostView();
@@ -604,18 +564,6 @@ void BM_SteinerMehlhornCostView(benchmark::State& state) {
                 timer.ElapsedMillis());
 }
 BENCHMARK(BM_SteinerMehlhornCostView)->Arg(11)->Arg(51)->Arg(201);
-
-void BM_PcstGrowth(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const auto terminals =
-      PickTerminals(rg, static_cast<size_t>(state.range(0)), 17);
-  for (auto _ : state) {
-    auto result =
-        core::PcstSummary(rg.graph(), rg.base_weights(), terminals, {});
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_PcstGrowth)->Arg(11)->Arg(51)->Arg(201);
 
 void BM_PcstGrowthSeedRef(benchmark::State& state) {
   const auto& rg = FixtureGraph();

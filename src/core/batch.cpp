@@ -25,18 +25,12 @@ double ScaleWeight(double w, CostMode mode) {
 /// weights runs once per (graph, mode) instead of once per task — only the
 /// Eq.-(1)-touched edges are re-scaled. The cache is validated with a
 /// bitwise compare of the base weights, so a context reused across graphs
-/// (of any sizes) transparently rebuilds.
+/// (of any sizes) transparently rebuilds. Only overlay tasks reach here:
+/// `kUnit` and edgeless graphs always read the shared views.
 void CostsFromAdjusted(const std::vector<double>& base_weights, CostMode mode,
                        SummarizeContext& ctx, std::vector<double>* out) {
   const std::vector<double>& adjusted = ctx.adjusted_weights;
-  if (mode == CostMode::kUnit) {
-    out->assign(adjusted.size(), 1.0);
-    return;
-  }
-  if (adjusted.empty()) {
-    out->clear();
-    return;
-  }
+  assert(mode != CostMode::kUnit && !ctx.touched_edges.empty());
   if (ctx.cost_cache_mode != static_cast<int>(mode) ||
       ctx.cost_cache_base != base_weights) {
     ctx.cost_cache_base = base_weights;
@@ -78,11 +72,11 @@ void CostsFromAdjusted(const std::vector<double>& base_weights, CostMode mode,
 /// view exactly).
 const graph::CostView& SteinerCostView(const data::RecGraph& rec_graph,
                                        CostMode mode, SummarizeContext& ctx,
-                                       const SharedCostViews* shared,
+                                       const SharedCostViews& views,
                                        bool overlay_is_noop = false) {
-  const bool zero_overlay = ctx.touched_edges.empty() || overlay_is_noop;
-  if (shared != nullptr && (mode == CostMode::kUnit || zero_overlay)) {
-    return shared->ForMode(mode);
+  if (mode == CostMode::kUnit || ctx.touched_edges.empty() ||
+      overlay_is_noop) {
+    return views.ForMode(mode);
   }
   std::vector<double>& out = ctx.cost_view.StartAssign(rec_graph.graph());
   CostsFromAdjusted(rec_graph.base_weights(), mode, ctx, &out);
@@ -91,16 +85,18 @@ const graph::CostView& SteinerCostView(const data::RecGraph& rec_graph,
 }
 
 /// Resolves the cost view a PCST task runs under: the shared all-ones view
-/// when available, the context-local one otherwise. The ablation path that
-/// costs edges by their raw weights goes through the compat `PcstSummary`
-/// overload instead (it is exercised once per ablation run, not on the
-/// serving path).
+/// (the paper's configuration, §V-A), or for the `use_edge_weights`
+/// ablation the base weights clamped at 0, rebuilt into the context view.
 const graph::CostView& PcstCostView(const data::RecGraph& rec_graph,
+                                    const PcstOptions& options,
                                     SummarizeContext& ctx,
-                                    const SharedCostViews* shared) {
-  if (shared != nullptr) return shared->unit();
-  ctx.unit_view.AssignUnit(rec_graph.graph());
-  return ctx.unit_view;
+                                    const SharedCostViews& views) {
+  if (!options.use_edge_weights) return views.unit();
+  const std::vector<double>& weights = rec_graph.base_weights();
+  std::vector<double>& out = ctx.cost_view.StartAssign(rec_graph.graph());
+  for (size_t e = 0; e < out.size(); ++e) out[e] = std::max(0.0, weights[e]);
+  ctx.cost_view.Commit();
+  return ctx.cost_view;
 }
 
 uint64_t DoubleBits(double v) {
@@ -178,7 +174,7 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
                                  const SummaryTask& task,
                                  const SummarizerOptions& options,
                                  SummarizeContext& ctx,
-                                 const SharedCostViews* shared_views,
+                                 const SharedCostViews& views,
                                  const SummaryChain* prev,
                                  SummaryChain* next) {
   const graph::KnowledgeGraph& g = rec_graph.graph();
@@ -189,7 +185,7 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
   summary.anchors = task.anchors;
   summary.terminals = task.terminals;
 
-  if (shared_views != nullptr && !shared_views->Matches(rec_graph)) {
+  if (!views.Matches(rec_graph)) {
     return Status::InvalidArgument(
         "SummarizeWith: shared cost views built for a different graph");
   }
@@ -221,7 +217,7 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
         sig = SteinerCostSignature(rec_graph, options.cost_mode, ctx);
       }
       const graph::CostView& costs = SteinerCostView(
-          rec_graph, options.cost_mode, ctx, shared_views,
+          rec_graph, options.cost_mode, ctx, views,
           /*overlay_is_noop=*/chain_kmb &&
               sig.kind != CostSignature::Kind::kOverlay);
       SteinerResult st;
@@ -285,22 +281,16 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
       break;
     }
     case SummaryMethod::kPcst: {
-      // The paper's PCST configuration ignores edge weights (§V-A): the
-      // all-ones cost view. The ablation that costs edges by raw weights
-      // derives its view in the compat overload. The growth is one global
-      // priority-queue sweep whose pop sequence changes with every added
-      // seed, so no structural state carries over bit-safely — chained
-      // PCST steps reuse the context workspace and the shared unit view,
-      // nothing more (DESIGN.md §5).
+      // The growth is one global priority-queue sweep whose pop sequence
+      // changes with every added seed, so no structural state carries over
+      // bit-safely — chained PCST steps reuse the context workspace and
+      // the cost views, nothing more (DESIGN.md §5).
       ResetChainState(next);
       XSUM_ASSIGN_OR_RETURN(
           PcstResult pc,
-          options.pcst.use_edge_weights
-              ? PcstSummary(g, rec_graph.base_weights(), task.terminals,
-                            options.pcst, &ctx.workspace)
-              : PcstSummary(PcstCostView(rec_graph, ctx, shared_views),
-                            rec_graph.base_weights(), task.terminals,
-                            options.pcst, &ctx.workspace));
+          PcstSummary(PcstCostView(rec_graph, options.pcst, ctx, views),
+                      rec_graph.base_weights(), task.terminals, options.pcst,
+                      &ctx.workspace));
       summary.subgraph = std::move(pc.tree);
       summary.unreached_terminals = std::move(pc.unreached_terminals);
       FinalizeSummaryPerf(timer, pc.workspace_bytes, &summary);
@@ -314,8 +304,8 @@ Result<Summary> SummarizeWith(const data::RecGraph& rec_graph,
                               const SummaryTask& task,
                               const SummarizerOptions& options,
                               SummarizeContext& ctx,
-                              const SharedCostViews* shared_views) {
-  return SummarizeChained(rec_graph, task, options, ctx, shared_views,
+                              const SharedCostViews& views) {
+  return SummarizeChained(rec_graph, task, options, ctx, views,
                           /*prev=*/nullptr, /*next=*/nullptr);
 }
 
@@ -345,7 +335,7 @@ Result<Summary> BatchSummarizer::RunWith(size_t worker, const SummaryTask& task,
                                          const SummarizerOptions& options) {
   assert(worker < contexts_.size());
   return SummarizeWith(rec_graph_, task, options, *contexts_[worker],
-                       views_.get());
+                       *views_);
 }
 
 std::vector<Result<Summary>> BatchSummarizer::RunAll(
@@ -396,7 +386,7 @@ std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
       }
     }
     if (!shared_costs) {
-      results[i] = SummarizeWith(rec_graph_, task, options, ctx, views_.get());
+      results[i] = SummarizeWith(rec_graph_, task, options, ctx, *views_);
       continue;
     }
     eligible.push_back(i);
@@ -441,7 +431,7 @@ Result<Summary> BatchSummarizer::RunChainedWith(size_t worker,
                                                 SummaryChain* next) {
   assert(worker < contexts_.size());
   return SummarizeChained(rec_graph_, task, options, *contexts_[worker],
-                          views_.get(), prev, next);
+                          *views_, prev, next);
 }
 
 std::vector<Result<Summary>> BatchSummarizer::RunSweep(
@@ -457,7 +447,7 @@ std::vector<Result<Summary>> BatchSummarizer::RunSweep(
   for (size_t idx : order) {
     results[idx] =
         SummarizeChained(rec_graph_, builder(ks[idx]), options,
-                         *contexts_[worker], views_.get(), &chain, &chain);
+                         *contexts_[worker], *views_, &chain, &chain);
   }
   return results;
 }

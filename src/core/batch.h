@@ -50,13 +50,11 @@ struct SummarizeContext {
   std::vector<uint32_t> edge_counts;
   std::vector<graph::EdgeId> touched_edges;
 
-  /// Task-local cost view, rebuilt in place (capacity retained) for tasks
-  /// whose Eq. (1) overlay actually changes costs. Zero-overlay tasks
-  /// borrow a shared prebuilt view instead and never touch this.
+  /// Task-local cost view, rebuilt in place (capacity retained) for ST
+  /// tasks whose Eq. (1) overlay actually changes costs and for the PCST
+  /// raw-weight ablation. Every other task borrows a shared prebuilt view
+  /// instead and never touches this.
   graph::CostView cost_view;
-  /// All-ones view for PCST callers without shared views (rebuilt per
-  /// call; the engine path always has shared views and skips it).
-  graph::CostView unit_view;
 
   /// Cost-transform cache: the base weights Eq. (1) starts from change only
   /// when the graph changes, so their scaled images (the log1p pass of
@@ -75,7 +73,6 @@ struct SummarizeContext {
             cost_cache_scaled.capacity()) *
                sizeof(double) +
            cost_view.MemoryFootprintBytes() +
-           unit_view.MemoryFootprintBytes() +
            edge_counts.capacity() * sizeof(uint32_t) +
            touched_edges.capacity() * sizeof(graph::EdgeId);
   }
@@ -89,16 +86,16 @@ struct SummarizeContext {
 std::vector<size_t> AscendingKOrder(const std::vector<int>& ks);
 
 /// Runs the configured summarizer on \p task, borrowing all scratch state
-/// from \p ctx. When \p shared_views (the prebuilt base views of
-/// `rec_graph`) is provided, zero-overlay tasks consume them directly;
-/// otherwise every cost view is derived per call. Both routes produce
-/// bit-identical summaries; `Summarize` == `SummarizeWith` on a throwaway
-/// context without shared views.
+/// from \p ctx and every base cost view from \p views (the prebuilt views
+/// of `rec_graph`; InvalidArgument if built for another graph). Tasks
+/// whose costs equal a base view read it directly; the rest rebuild
+/// `ctx.cost_view`. `Summarize` == `SummarizeWith` on a throwaway context
+/// and throwaway views.
 Result<Summary> SummarizeWith(const data::RecGraph& rec_graph,
                               const SummaryTask& task,
                               const SummarizerOptions& options,
                               SummarizeContext& ctx,
-                              const SharedCostViews* shared_views = nullptr);
+                              const SharedCostViews& views);
 
 /// \brief Façade answering many summarization tasks over one graph.
 ///

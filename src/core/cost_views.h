@@ -1,7 +1,8 @@
 /// \file cost_views.h
 /// \brief `SharedCostViews` — the prebuilt per-mode base `CostView`s of one
 /// graph, shared by every consumer that serves repeated queries over it
-/// (DESIGN.md §4).
+/// (DESIGN.md §4). It is the only source of base views: every
+/// summarization call reads them from here.
 ///
 /// For a task with no Eq. (1) overlay (no input paths touch an edge) the
 /// Steiner costs depend only on (graph, cost mode), and PCST's default

@@ -19,7 +19,7 @@ IncrementalSummarizer::IncrementalSummarizer(
 
 Result<Summary> IncrementalSummarizer::Next(const SummaryTask& task,
                                             const SummarizerOptions& options) {
-  return SummarizeChained(rec_graph_, task, options, ctx_, views_.get(),
+  return SummarizeChained(rec_graph_, task, options, ctx_, *views_,
                           &chain_, &chain_);
 }
 

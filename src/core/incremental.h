@@ -105,7 +105,7 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
                                  const SummaryTask& task,
                                  const SummarizerOptions& options,
                                  SummarizeContext& ctx,
-                                 const SharedCostViews* shared_views,
+                                 const SharedCostViews& views,
                                  const SummaryChain* prev, SummaryChain* next);
 
 /// \brief Standalone chained-task facade: owns one context and one chain;

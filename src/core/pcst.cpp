@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/centrality.h"
-#include "graph/dijkstra.h"
 #include "graph/search_workspace.h"
 #include "util/string_util.h"
 
@@ -30,6 +29,10 @@ Result<PcstResult> PcstSummary(const CostView& costs,
                                graph::SearchWorkspace* workspace) {
   if (!costs.valid()) {
     return Status::InvalidArgument("PcstSummary: uncommitted cost view");
+  }
+  if (!costs.finite_non_negative()) {
+    return Status::InvalidArgument(
+        "PCST costs must be finite and non-negative");
   }
   const KnowledgeGraph& graph = costs.graph();
   std::vector<NodeId> seeds = terminals;
@@ -217,31 +220,6 @@ Result<PcstResult> PcstSummary(const CostView& costs,
   result.objective = objective;
   result.workspace_bytes += result.tree.MemoryFootprintBytes();
   return result;
-}
-
-Result<PcstResult> PcstSummary(const KnowledgeGraph& graph,
-                               const std::vector<double>& weights,
-                               const std::vector<NodeId>& terminals,
-                               const PcstOptions& options,
-                               graph::SearchWorkspace* workspace) {
-  if (options.use_edge_weights && weights.size() < graph.num_edges()) {
-    return Status::InvalidArgument(
-        StrCat("weight vector covers ", weights.size(), " of ",
-               graph.num_edges(), " edges"));
-  }
-  CostView view;
-  if (options.use_edge_weights) {
-    // Raw weights as costs — the configuration the paper tried and
-    // abandoned because it yields oversized summaries; kept for ablation.
-    std::vector<double>& out = view.StartAssign(graph);
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      out[e] = std::max(0.0, weights[e]);
-    }
-    view.Commit();
-  } else {
-    view.AssignUnit(graph);
-  }
-  return PcstSummary(view, weights, terminals, options, workspace);
 }
 
 }  // namespace xsum::core

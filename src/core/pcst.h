@@ -86,24 +86,16 @@ struct PcstResult {
 
 /// \brief Runs the prize-collecting growth of Algorithm 2 under the edge
 /// costs carried by \p costs (a committed `graph::CostView`; the paper's
-/// configuration uses the all-ones view). \p weights are the raw edge
-/// weights, consulted only by the α/β prize policy. Duplicate terminals
-/// are ignored.
+/// configuration uses the all-ones view, the `use_edge_weights` ablation a
+/// view of the weights clamped at 0 — the caller builds either, this call
+/// never does). A view holding a negative or non-finite cost is rejected
+/// as InvalidArgument. \p weights are the raw edge weights, consulted only
+/// by the α/β prize policy. Duplicate terminals are ignored.
 ///
 /// Passing a \p workspace lets repeated calls reuse the O(|V|) growth
 /// state (epoch-reset, no per-call allocation); results are identical to a
 /// fresh-workspace call. The workspace contents are invalidated on return.
 Result<PcstResult> PcstSummary(const graph::CostView& costs,
-                               const std::vector<double>& weights,
-                               const std::vector<graph::NodeId>& terminals,
-                               const PcstOptions& options = {},
-                               graph::SearchWorkspace* workspace = nullptr);
-
-/// \brief Convenience overload: derives the cost view per call (all-ones,
-/// or the non-negative-clamped \p weights when `options.use_edge_weights`)
-/// and delegates. Batch callers should hold a prebuilt view instead (the
-/// batch engine shares one across the task stream).
-Result<PcstResult> PcstSummary(const graph::KnowledgeGraph& graph,
                                const std::vector<double>& weights,
                                const std::vector<graph::NodeId>& terminals,
                                const PcstOptions& options = {},

@@ -449,9 +449,9 @@ std::optional<Result<SteinerResult>> SteinerPrologue(
     return Result<SteinerResult>(
         Status::InvalidArgument("SteinerTree: uncommitted cost view"));
   }
-  if (costs.min_cost() < 0.0) {
-    return Result<SteinerResult>(
-        Status::InvalidArgument("Steiner costs must be non-negative"));
+  if (!costs.finite_non_negative()) {
+    return Result<SteinerResult>(Status::InvalidArgument(
+        "Steiner costs must be finite and non-negative"));
   }
   const KnowledgeGraph& graph = costs.graph();
   *unique = UniqueTerminals(terminals);
@@ -685,21 +685,6 @@ Result<SteinerResult> SteinerTreeChained(const CostView& costs,
   SearchWorkspace local_ws;
   SearchWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
   return SteinerKmbChained(costs, unique, options, ws, *store);
-}
-
-Result<SteinerResult> SteinerTree(const KnowledgeGraph& graph,
-                                  const std::vector<double>& costs,
-                                  const std::vector<NodeId>& terminals,
-                                  const SteinerOptions& options,
-                                  graph::SearchWorkspace* workspace) {
-  if (costs.size() < graph.num_edges()) {
-    return Status::InvalidArgument(
-        StrCat("cost vector covers ", costs.size(), " of ",
-               graph.num_edges(), " edges"));
-  }
-  CostView view;
-  view.Assign(graph, costs);
-  return SteinerTree(view, terminals, options, workspace);
 }
 
 }  // namespace xsum::core

@@ -11,6 +11,10 @@
 ///  - `kMehlhorn`: one multi-source Dijkstra builds Voronoi cells whose
 ///    boundary edges induce the closure. O(|E| + |V| log |V|), same
 ///    guarantee; offered as a faster engineering alternative and ablation.
+///
+/// Every entry point (single, chained, wave) reads a prebuilt
+/// `graph::CostView`; none builds one. The batch engine takes base views
+/// from `SharedCostViews` and rebuilds overlay views in its context.
 
 #ifndef XSUM_CORE_STEINER_H_
 #define XSUM_CORE_STEINER_H_
@@ -48,8 +52,9 @@ struct SteinerResult {
 };
 
 /// \brief Computes an approximate minimum-cost Steiner tree spanning
-/// \p terminals under the non-negative edge costs carried by \p costs
-/// (a committed `graph::CostView` — built once, shared across queries).
+/// \p terminals under the edge costs carried by \p costs (a committed
+/// `graph::CostView` — built once, shared across queries). A view holding
+/// a negative or non-finite cost is rejected as InvalidArgument.
 ///
 /// Terminals in different weak components yield a Steiner *forest* over the
 /// reachable groups plus the list of unreached terminals; the subgraph is
@@ -59,15 +64,6 @@ struct SteinerResult {
 /// state (epoch-reset, no per-call allocation); results are identical to a
 /// fresh-workspace call. The workspace contents are invalidated on return.
 Result<SteinerResult> SteinerTree(const graph::CostView& costs,
-                                  const std::vector<graph::NodeId>& terminals,
-                                  const SteinerOptions& options = {},
-                                  graph::SearchWorkspace* workspace = nullptr);
-
-/// \brief Convenience overload taking EdgeId-indexed \p costs: builds a
-/// throwaway `CostView` per call and delegates. Batch callers should build
-/// the view once instead (the batch engine's context does).
-Result<SteinerResult> SteinerTree(const graph::KnowledgeGraph& graph,
-                                  const std::vector<double>& costs,
                                   const std::vector<graph::NodeId>& terminals,
                                   const SteinerOptions& options = {},
                                   graph::SearchWorkspace* workspace = nullptr);

@@ -33,10 +33,11 @@ Result<Summary> Summarize(const data::RecGraph& rec_graph,
                           const SummaryTask& task,
                           const SummarizerOptions& options) {
   // Single-shot path: same engine as the batch façade, on a throwaway
-  // context. Keeping one code path is what makes the batch-vs-single
-  // bit-identical equivalence hold by construction.
+  // context and throwaway base views. Keeping one code path is what makes
+  // the batch-vs-single bit-identical equivalence hold by construction.
   SummarizeContext ctx;
-  return SummarizeWith(rec_graph, task, options, ctx);
+  const SharedCostViews views(rec_graph);
+  return SummarizeWith(rec_graph, task, options, ctx, views);
 }
 
 }  // namespace xsum::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 
 namespace xsum::graph {
 
@@ -48,6 +49,12 @@ void CostView::Commit() {
   min_cost_ = std::numeric_limits<double>::infinity();
   max_cost_ = -std::numeric_limits<double>::infinity();
   for (double c : edge_costs_) {
+    // std::min/std::max skip a NaN operand; a NaN cost must instead make
+    // both extremes NaN so every range check on them fails.
+    if (std::isnan(c)) {
+      min_cost_ = max_cost_ = c;
+      break;
+    }
     min_cost_ = std::min(min_cost_, c);
     max_cost_ = std::max(max_cost_, c);
   }

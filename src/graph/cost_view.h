@@ -77,14 +77,19 @@ class CostView {
     return {slots_.data() + begin, graph_->Degree(v)};
   }
 
-  /// Smallest / largest edge cost (+inf / -inf for an edgeless graph).
+  /// Smallest / largest edge cost (+inf / -inf for an edgeless graph; both
+  /// NaN when any cost is NaN).
   double min_cost() const { return min_cost_; }
   double max_cost() const { return max_cost_; }
+  /// True iff every cost is finite and >= 0 (the summarizers' precondition).
+  bool finite_non_negative() const {
+    return min_cost_ >= 0.0 &&
+           max_cost_ < std::numeric_limits<double>::infinity();
+  }
 
   /// Builds the view from EdgeId-indexed \p edge_costs (one entry per
-  /// `graph.num_edges()`). Costs may be any finite values; search kernels
-  /// additionally require non-negativity (validated by their public
-  /// entry points via `min_cost()`).
+  /// `graph.num_edges()`). Any values are stored; the summarizers' entry
+  /// points reject a view that is not `finite_non_negative()`.
   void Assign(const KnowledgeGraph& graph, std::span<const double> edge_costs);
 
   /// Builds the all-ones view (PCST's default and `CostMode::kUnit`).

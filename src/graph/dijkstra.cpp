@@ -5,20 +5,6 @@
 
 namespace xsum::graph {
 
-Path ShortestPathTree::ExtractPath(NodeId target) const {
-  Path path;
-  if (target >= dist.size() || dist[target] == kInfDistance) return path;
-  NodeId v = target;
-  while (v != kInvalidNode) {
-    path.nodes.push_back(v);
-    if (parent_edge[v] != kInvalidEdge) path.edges.push_back(parent_edge[v]);
-    v = parent_node[v];
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
-}
-
 void DijkstraInto(const CostView& costs, NodeId source,
                   std::span<const NodeId> targets, SearchWorkspace& ws) {
   assert(costs.valid());
@@ -82,29 +68,6 @@ void AppendPathEdges(const SearchWorkspace& ws, NodeId target,
   }
 }
 
-ShortestPathTree Dijkstra(const KnowledgeGraph& graph,
-                          const std::vector<double>& costs, NodeId source,
-                          const std::vector<NodeId>& targets) {
-  assert(costs.size() >= graph.num_edges());
-  CostView view;
-  view.Assign(graph, costs);
-  SearchWorkspace ws;
-  DijkstraInto(view, source, targets, ws);
-
-  const size_t n = graph.num_nodes();
-  ShortestPathTree tree;
-  tree.source = source;
-  tree.dist.resize(n);
-  tree.parent_node.resize(n);
-  tree.parent_edge.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    tree.dist[v] = ws.dist(v);
-    tree.parent_node[v] = ws.parent_node(v);
-    tree.parent_edge[v] = ws.parent_edge(v);
-  }
-  return tree;
-}
-
 void MultiSourceDijkstraInto(const CostView& costs,
                              std::span<const NodeId> sources,
                              SearchWorkspace& ws) {
@@ -135,30 +98,6 @@ void MultiSourceDijkstraInto(const CostView& costs,
       }
     }
   }
-}
-
-VoronoiResult MultiSourceDijkstra(const KnowledgeGraph& graph,
-                                  const std::vector<double>& costs,
-                                  const std::vector<NodeId>& sources) {
-  assert(costs.size() >= graph.num_edges());
-  CostView view;
-  view.Assign(graph, costs);
-  SearchWorkspace ws;
-  MultiSourceDijkstraInto(view, sources, ws);
-
-  const size_t n = graph.num_nodes();
-  VoronoiResult out;
-  out.dist.resize(n);
-  out.nearest_source.resize(n);
-  out.parent_node.resize(n);
-  out.parent_edge.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    out.dist[v] = ws.dist(v);
-    out.nearest_source[v] = ws.origin(v);
-    out.parent_node[v] = ws.parent_node(v);
-    out.parent_edge[v] = ws.parent_edge(v);
-  }
-  return out;
 }
 
 }  // namespace xsum::graph

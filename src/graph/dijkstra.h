@@ -3,11 +3,13 @@
 /// graph. This is the inner loop of the ST summarizer (Algorithm 1 computes
 /// the metric closure over terminals with repeated Dijkstra runs).
 ///
-/// All workspace-resident kernels consume a `CostView` (graph/cost_view.h):
-/// the interleaved (neighbor, edge, cost) CSR built once per cost vector and
-/// shared across searches, so the scan loop streams one sequential array
-/// instead of gathering `costs[edge]` per relaxation. Costs must be
-/// non-negative. The ST summarizer guarantees this by mapping the paper's
+/// Every search runs over a prebuilt `CostView` (graph/cost_view.h) into a
+/// caller-owned `SearchWorkspace`, whose accessors and `ExtractPath` read
+/// the result. The view is the interleaved (neighbor, edge, cost) CSR built
+/// once per cost vector (`core::SharedCostViews` holds a graph's base
+/// views), so the scan loop streams one sequential array instead of
+/// gathering `costs[edge]` per relaxation. Costs must be finite and
+/// non-negative. The ST summarizer meets this by mapping the paper's
 /// maximize-weight objective through the order-preserving transform in
 /// `core/cost_transform.h` instead of the paper's literal "multiply weights
 /// by −1" (which would produce negative costs Dijkstra cannot handle); see
@@ -31,37 +33,6 @@ namespace xsum::graph {
 /// Distance value meaning "unreached".
 inline constexpr double kInfDistance = std::numeric_limits<double>::infinity();
 
-/// \brief Result of a single-source Dijkstra run.
-struct ShortestPathTree {
-  NodeId source = kInvalidNode;
-  /// dist[v] = cost of the cheapest path source→v, or kInfDistance.
-  std::vector<double> dist;
-  /// parent_node[v] = predecessor of v on that path (kInvalidNode at source
-  /// and unreached nodes).
-  std::vector<NodeId> parent_node;
-  /// parent_edge[v] = edge used to reach v (kInvalidEdge at source and
-  /// unreached nodes).
-  std::vector<EdgeId> parent_edge;
-
-  /// Reconstructs the source→target path; empty path (no nodes) if
-  /// target is unreached.
-  Path ExtractPath(NodeId target) const;
-};
-
-/// \brief Runs Dijkstra from \p source using per-edge \p costs
-/// (indexed by EdgeId; all entries must be >= 0).
-///
-/// If \p targets is non-empty, the search stops once all targets are
-/// settled (early exit; duplicates are counted once). Costs vector must
-/// cover every edge id.
-///
-/// Allocates a fresh ShortestPathTree (and a throwaway `CostView`) per
-/// call; hot paths should prefer `DijkstraInto` with a reused workspace
-/// and a prebuilt view.
-ShortestPathTree Dijkstra(const KnowledgeGraph& graph,
-                          const std::vector<double>& costs, NodeId source,
-                          const std::vector<NodeId>& targets = {});
-
 /// \brief Workspace-resident Dijkstra over \p costs: runs into \p ws
 /// (calling `ws.Begin()` internally) with zero steady-state allocation.
 /// After the call, `ws.dist/parent_node/parent_edge` hold the
@@ -77,26 +48,6 @@ Path ExtractPath(const SearchWorkspace& ws, NodeId target);
 /// onto \p out (in target→source order); no-op if unreached.
 void AppendPathEdges(const SearchWorkspace& ws, NodeId target,
                      std::vector<EdgeId>* out);
-
-/// \brief Voronoi-style multi-source Dijkstra (Mehlhorn's construction).
-struct VoronoiResult {
-  /// dist[v] = cost from the nearest source.
-  std::vector<double> dist;
-  /// nearest_source[v] = the source v is assigned to.
-  std::vector<NodeId> nearest_source;
-  /// parent_node/parent_edge trace back toward the assigned source.
-  std::vector<NodeId> parent_node;
-  std::vector<EdgeId> parent_edge;
-};
-
-/// \brief Runs Dijkstra simultaneously from all \p sources, partitioning the
-/// graph into shortest-path Voronoi cells. Used by the Mehlhorn ST variant.
-///
-/// Allocates a fresh VoronoiResult (and a throwaway `CostView`) per call;
-/// hot paths should prefer `MultiSourceDijkstraInto`.
-VoronoiResult MultiSourceDijkstra(const KnowledgeGraph& graph,
-                                  const std::vector<double>& costs,
-                                  const std::vector<NodeId>& sources);
 
 /// \brief Workspace-resident multi-source Dijkstra over \p costs. After the
 /// call, `ws.origin(v)` is the nearest source of v (the Voronoi cell) and

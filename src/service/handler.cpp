@@ -1,7 +1,9 @@
 #include "service/handler.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -113,10 +115,11 @@ Result<SummaryRequest> ParseSummaryRequest(const net::JsonValue& json) {
   }
   const char* unit_key = UnitIsUser(request.scenario) ? "user" : "item";
   const net::JsonValue* unit = json.Find(unit_key);
-  if (unit == nullptr || !unit->is_int() || unit->AsInt() < 0) {
+  if (unit == nullptr || !unit->is_int() || unit->AsInt() < 0 ||
+      unit->AsInt() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
-        std::string("request requires a non-negative integer '") + unit_key +
-        "'");
+        std::string("request requires an integer '") + unit_key +
+        "' in [0, 4294967295]");
   }
   request.unit = static_cast<uint32_t>(unit->AsInt());
   const net::JsonValue* k = json.Find("k");
@@ -363,7 +366,11 @@ net::HttpResponse SummaryHandler::Summarize(const SummaryRequest& request,
       response.extra_headers.emplace_back("Retry-After", "1");
       return response;
     }
-    return JsonError(500, result.status().ToString());
+    // The kernels reject the costs a request's own parameters produce
+    // (an Eq. (1) overflow under a huge λ) as InvalidArgument: a client
+    // error, not a server fault.
+    return JsonError(result.status().IsInvalidArgument() ? 400 : 500,
+                     result.status().ToString());
   }
   if (eval_enabled()) {
     // Evaluate against the snapshot the request was pinned to. A

@@ -109,12 +109,13 @@ TEST(BatchSummarizerTest, ReusedContextMatchesFreshAcrossGraphsAndMethods) {
   const auto methods = MethodLineup();
   for (const auto& [scale, seed] : graphs) {
     const Fixture f = MakeFixture(scale, seed);
+    const SharedCostViews views(f.rg);
     for (int task_idx = 0; task_idx < 4; ++task_idx) {
       const SummaryTask task = RandomTask(f.rg, 3 + 2 * task_idx, 4, &rng);
       for (const SummarizerOptions& options : methods) {
         const Result<Summary> fresh = Summarize(f.rg, task, options);
         const Result<Summary> reused =
-            SummarizeWith(f.rg, task, options, shared);
+            SummarizeWith(f.rg, task, options, shared, views);
         ASSERT_TRUE(fresh.ok()) << fresh.status();
         ASSERT_TRUE(reused.ok()) << reused.status();
         ExpectIdentical(*fresh, *reused);
@@ -125,7 +126,8 @@ TEST(BatchSummarizerTest, ReusedContextMatchesFreshAcrossGraphsAndMethods) {
 
 TEST(BatchSummarizerTest, SteinerWorkspaceReuseMatchesFreshIncludingInternals) {
   const Fixture f = MakeFixture(0.03, 21);
-  const auto costs = WeightsToCosts(f.rg.base_weights());
+  graph::CostView costs;
+  costs.Assign(f.rg.graph(), WeightsToCosts(f.rg.base_weights()));
   graph::SearchWorkspace reused;
   Rng rng(77);
   for (int round = 0; round < 5; ++round) {
@@ -134,10 +136,9 @@ TEST(BatchSummarizerTest, SteinerWorkspaceReuseMatchesFreshIncludingInternals) {
                          SteinerOptions::Variant::kMehlhorn}) {
       SteinerOptions options;
       options.variant = variant;
-      const auto fresh =
-          SteinerTree(f.rg.graph(), costs, task.terminals, options);
+      const auto fresh = SteinerTree(costs, task.terminals, options);
       const auto with_ws =
-          SteinerTree(f.rg.graph(), costs, task.terminals, options, &reused);
+          SteinerTree(costs, task.terminals, options, &reused);
       ASSERT_TRUE(fresh.ok());
       ASSERT_TRUE(with_ws.ok());
       EXPECT_EQ(fresh->tree.nodes(), with_ws->tree.nodes());
@@ -149,6 +150,8 @@ TEST(BatchSummarizerTest, SteinerWorkspaceReuseMatchesFreshIncludingInternals) {
 
 TEST(BatchSummarizerTest, PcstWorkspaceReuseMatchesFreshIncludingObjective) {
   const Fixture f = MakeFixture(0.03, 22);
+  graph::CostView unit;
+  unit.AssignUnit(f.rg.graph());
   graph::SearchWorkspace reused;
   Rng rng(78);
   for (int round = 0; round < 5; ++round) {
@@ -156,9 +159,9 @@ TEST(BatchSummarizerTest, PcstWorkspaceReuseMatchesFreshIncludingObjective) {
     for (const bool strong_prune : {false, true}) {
       PcstOptions options;
       options.strong_prune = strong_prune;
-      const auto fresh = PcstSummary(f.rg.graph(), f.rg.base_weights(),
-                                     task.terminals, options);
-      const auto with_ws = PcstSummary(f.rg.graph(), f.rg.base_weights(),
+      const auto fresh =
+          PcstSummary(unit, f.rg.base_weights(), task.terminals, options);
+      const auto with_ws = PcstSummary(unit, f.rg.base_weights(),
                                        task.terminals, options, &reused);
       ASSERT_TRUE(fresh.ok());
       ASSERT_TRUE(with_ws.ok());

@@ -14,6 +14,7 @@
 #include "core/batch.h"
 #include "core/cost_transform.h"
 #include "core/cost_views.h"
+#include "core/pcst.h"
 #include "core/steiner.h"
 #include "core/summarizer.h"
 #include "core/weight_adjust.h"
@@ -155,13 +156,15 @@ TEST(CostViewEquivalenceTest, DijkstraMatchesPreRefactorGatherAcrossModes) {
 
 TEST(CostViewEquivalenceTest,
      SharedAndRebuiltViewsAgreeAcrossModesAndOverlays) {
-  // Every route to a summary — throwaway context (per-call view), reused
-  // context (cached rebuild), engine with shared prebuilt views — must be
-  // bit-identical, for every cost mode, with and without an Eq. (1)
-  // overlay, including the λ extremes the paper sweeps.
+  // Every route to a summary — throwaway context and views, reused
+  // context (cached rebuild), engine with its shared prebuilt views, and a
+  // view rebuilt by hand from the Eq. (1) weights — must be bit-identical,
+  // for every cost mode, with and without an Eq. (1) overlay, including
+  // the λ extremes the paper sweeps.
   const Fixture f = MakeFixture(0.03, 32);
   BatchSummarizer engine(f.rg, /*num_workers=*/1);
   SummarizeContext reused;
+  const SharedCostViews reused_views(f.rg);
   Rng rng(92);
   for (CostMode mode : {CostMode::kWeightAwareLog, CostMode::kWeightAware,
                         CostMode::kUnit}) {
@@ -178,12 +181,24 @@ TEST(CostViewEquivalenceTest,
           const Result<Summary> fresh = Summarize(f.rg, task, options);
           const Result<Summary> shared = engine.Run(task, options);
           const Result<Summary> rebuilt =
-              SummarizeWith(f.rg, task, options, reused);
+              SummarizeWith(f.rg, task, options, reused, reused_views);
+          CostView by_hand;
+          by_hand.Assign(
+              f.rg.graph(),
+              WeightsToCosts(AdjustWeights(f.rg.graph(), f.rg.base_weights(),
+                                           task.paths, lambda, task.s_size),
+                             mode));
+          const Result<SteinerResult> direct =
+              SteinerTree(by_hand, task.terminals, options.steiner);
           ASSERT_TRUE(fresh.ok()) << fresh.status();
           ASSERT_TRUE(shared.ok()) << shared.status();
           ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+          ASSERT_TRUE(direct.ok()) << direct.status();
           ExpectIdentical(*fresh, *shared);
           ExpectIdentical(*fresh, *rebuilt);
+          EXPECT_EQ(fresh->subgraph.nodes(), direct->tree.nodes());
+          EXPECT_EQ(fresh->subgraph.edges(), direct->tree.edges());
+          EXPECT_EQ(fresh->unreached_terminals, direct->unreached_terminals);
         }
       }
     }
@@ -203,6 +218,52 @@ TEST(CostViewEquivalenceTest, PcstSharedUnitViewMatchesFresh) {
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     ASSERT_TRUE(shared.ok()) << shared.status();
     ExpectIdentical(*fresh, *shared);
+  }
+}
+
+TEST(CostViewEquivalenceTest, PcstRawWeightAblationMatchesHandBuiltView) {
+  // The `use_edge_weights` ablation costs edges by their base weights
+  // clamped at 0; the engine rebuilds that view in its context, and the
+  // result must equal a PCST run over the same view built by hand.
+  const Fixture f = MakeFixture(0.03, 38);
+  const graph::KnowledgeGraph& g = f.rg.graph();
+  const std::vector<double>& weights = f.rg.base_weights();
+  std::vector<double> clamped(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    clamped[e] = std::max(0.0, weights[e]);
+  }
+  CostView by_hand;
+  by_hand.Assign(g, clamped);
+  SummarizeContext ctx;
+  const SharedCostViews views(f.rg);
+  Rng rng(95);
+  for (int round = 0; round < 4; ++round) {
+    const SummaryTask task = RandomTask(f.rg, 4 + 3 * round, 2, &rng);
+    for (const bool strong_prune : {false, true}) {
+      SummarizerOptions options;
+      options.method = SummaryMethod::kPcst;
+      options.pcst.use_edge_weights = true;
+      options.pcst.strong_prune = strong_prune;
+      const Result<Summary> fresh = Summarize(f.rg, task, options);
+      const Result<Summary> reused =
+          SummarizeWith(f.rg, task, options, ctx, views);
+      const Result<PcstResult> direct =
+          PcstSummary(by_hand, weights, task.terminals, options.pcst);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      ASSERT_TRUE(reused.ok()) << reused.status();
+      ASSERT_TRUE(direct.ok()) << direct.status();
+      ExpectIdentical(*fresh, *reused);
+      EXPECT_EQ(fresh->subgraph.nodes(), direct->tree.nodes());
+      EXPECT_EQ(fresh->subgraph.edges(), direct->tree.edges());
+      EXPECT_EQ(fresh->unreached_terminals, direct->unreached_terminals);
+      // The view the engine ran under carries exactly the clamped
+      // weights, so the objective it implies is bit-identical too.
+      ASSERT_EQ(ctx.cost_view.edge_costs(), by_hand.edge_costs());
+      const Result<PcstResult> engine_view =
+          PcstSummary(ctx.cost_view, weights, task.terminals, options.pcst);
+      ASSERT_TRUE(engine_view.ok()) << engine_view.status();
+      EXPECT_EQ(engine_view->objective, direct->objective);
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 namespace xsum::core {
 namespace {
 
+using graph::CostView;
 using graph::EdgeId;
 using graph::GraphBuilder;
 using graph::KnowledgeGraph;
@@ -34,6 +35,12 @@ KnowledgeGraph MakePathGraph(size_t n) {
   return std::move(builder).Finalize();
 }
 
+CostView UnitView(const KnowledgeGraph& g) {
+  CostView view;
+  view.AssignUnit(g);
+  return view;
+}
+
 bool TerminalsConnected(const KnowledgeGraph& g, const graph::Subgraph& s,
                         const std::vector<NodeId>& terminals) {
   graph::UnionFind uf(g.num_nodes());
@@ -46,14 +53,14 @@ bool TerminalsConnected(const KnowledgeGraph& g, const graph::Subgraph& s,
 
 TEST(PcstTest, EmptyTerminals) {
   const KnowledgeGraph g = MakePathGraph(4);
-  const auto result = PcstSummary(g, g.WeightVector(), {});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.Empty());
 }
 
 TEST(PcstTest, SingleTerminal) {
   const KnowledgeGraph g = MakePathGraph(4);
-  const auto result = PcstSummary(g, g.WeightVector(), {2});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {2});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.ContainsNode(2));
   EXPECT_EQ(result->tree.num_edges(), 0u);
@@ -62,7 +69,7 @@ TEST(PcstTest, SingleTerminal) {
 TEST(PcstTest, ConnectsEndpointsOfPath) {
   const KnowledgeGraph g = MakePathGraph(5);
   const std::vector<NodeId> terminals = {0, 4};
-  const auto result = PcstSummary(g, g.WeightVector(), terminals);
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), terminals);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(TerminalsConnected(g, result->tree, terminals));
   EXPECT_TRUE(result->unreached_terminals.empty());
@@ -72,7 +79,7 @@ TEST(PcstTest, ConnectsEndpointsOfPath) {
 
 TEST(PcstTest, AdjacentTerminalsAdoptSharedEdge) {
   const KnowledgeGraph g = MakePathGraph(3);
-  const auto result = PcstSummary(g, g.WeightVector(), {0, 1});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {0, 1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tree.num_edges(), 1u);
   EXPECT_TRUE(TerminalsConnected(g, result->tree, {0, 1}));
@@ -80,8 +87,8 @@ TEST(PcstTest, AdjacentTerminalsAdoptSharedEdge) {
 
 TEST(PcstTest, DuplicateTerminalsIgnored) {
   const KnowledgeGraph g = MakePathGraph(5);
-  const auto a = PcstSummary(g, g.WeightVector(), {0, 4});
-  const auto b = PcstSummary(g, g.WeightVector(), {0, 4, 4, 0});
+  const auto a = PcstSummary(UnitView(g), g.WeightVector(), {0, 4});
+  const auto b = PcstSummary(UnitView(g), g.WeightVector(), {0, 4, 4, 0});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->tree.edges(), b->tree.edges());
@@ -93,7 +100,7 @@ TEST(PcstTest, DisconnectedTerminalForgone) {
   ASSERT_TRUE(builder.AddEdge(0, 1, Relation::kRelatedTo, 1.0).ok());
   ASSERT_TRUE(builder.AddEdge(3, 4, Relation::kRelatedTo, 1.0).ok());
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto result = PcstSummary(g, g.WeightVector(), {0, 1, 4});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {0, 1, 4});
   ASSERT_TRUE(result.ok());
   // {0,1} connected; 4 is in another component (prize forgone).
   EXPECT_EQ(result->unreached_terminals, std::vector<NodeId>{4});
@@ -102,7 +109,7 @@ TEST(PcstTest, DisconnectedTerminalForgone) {
 
 TEST(PcstTest, RejectsOutOfRangeTerminal) {
   const KnowledgeGraph g = MakePathGraph(3);
-  const auto result = PcstSummary(g, g.WeightVector(), {17});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {17});
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
@@ -132,8 +139,8 @@ TEST(PcstTest, GrownRegionIsSupersetOfStrongPruned) {
   PcstOptions grown;  // default: keep grown region
   PcstOptions pruned;
   pruned.strong_prune = true;
-  const auto a = PcstSummary(g, g.WeightVector(), terminals, grown);
-  const auto b = PcstSummary(g, g.WeightVector(), terminals, pruned);
+  const auto a = PcstSummary(UnitView(g), g.WeightVector(), terminals, grown);
+  const auto b = PcstSummary(UnitView(g), g.WeightVector(), terminals, pruned);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_GE(a->tree.num_edges(), b->tree.num_edges());
@@ -158,7 +165,7 @@ TEST(PcstTest, AlphaBetaPrizesComputedFromWeights) {
   std::vector<double> weights = {0.5, 2.0, 1.0, 3.0};
   PcstOptions options;
   options.prize_policy = PcstOptions::PrizePolicy::kAlphaBeta;
-  const auto result = PcstSummary(g, weights, {0, 4}, options);
+  const auto result = PcstSummary(UnitView(g), weights, {0, 4}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(TerminalsConnected(g, result->tree, {0, 4}));
   // Objective uses alpha = 3.0 for terminals, beta = 0.5 for others.
@@ -169,25 +176,18 @@ TEST(PcstTest, AlphaBetaPrizesComputedFromWeights) {
 TEST(PcstTest, WeightedEdgeCostsChangeObjective) {
   const KnowledgeGraph g = MakePathGraph(3);
   std::vector<double> weights = {5.0, 7.0};
-  PcstOptions options;
-  options.use_edge_weights = true;
-  const auto result = PcstSummary(g, weights, {0, 2}, options);
+  // The `use_edge_weights` ablation's view: the weights are the costs.
+  CostView weighted;
+  weighted.Assign(g, weights);
+  const auto result = PcstSummary(weighted, weights, {0, 2});
   ASSERT_TRUE(result.ok());
   // Objective = 12 (weighted costs) - 2 (unit terminal prizes).
   EXPECT_NEAR(result->objective, 12.0 - 2.0, 1e-9);
 }
 
-TEST(PcstTest, RejectsShortWeightVectorWhenWeighted) {
-  const KnowledgeGraph g = MakePathGraph(3);
-  PcstOptions options;
-  options.use_edge_weights = true;
-  const auto result = PcstSummary(g, {1.0}, {0, 2}, options);
-  EXPECT_TRUE(result.status().IsInvalidArgument());
-}
-
 TEST(PcstTest, ObjectiveMatchesDefinition) {
   const KnowledgeGraph g = MakePathGraph(4);
-  const auto result = PcstSummary(g, g.WeightVector(), {0, 3});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {0, 3});
   ASSERT_TRUE(result.ok());
   // C(S) = sum unit costs - sum prizes (1 per terminal in S, 0 others).
   const double expected =
@@ -197,7 +197,7 @@ TEST(PcstTest, ObjectiveMatchesDefinition) {
 
 TEST(PcstTest, WorkspaceReported) {
   const KnowledgeGraph g = MakePathGraph(10);
-  const auto result = PcstSummary(g, g.WeightVector(), {0, 9});
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), {0, 9});
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->workspace_bytes, 0u);
 }
@@ -231,7 +231,7 @@ TEST_P(PcstRandomSweep, ConnectsAllTerminalsOnConnectedGraphs) {
   for (uint64_t v : rng.SampleWithoutReplacement(n, t)) {
     terminals.push_back(static_cast<NodeId>(v));
   }
-  const auto result = PcstSummary(g, g.WeightVector(), terminals);
+  const auto result = PcstSummary(UnitView(g), g.WeightVector(), terminals);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->unreached_terminals.empty());
   EXPECT_TRUE(TerminalsConnected(g, result->tree, terminals));

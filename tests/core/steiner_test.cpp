@@ -4,10 +4,12 @@
 /// terminal leaves only) as property sweeps over both variants.
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "core/pcst.h"
 #include "core/steiner.h"
 #include "graph/union_find.h"
 #include "util/rng.h"
@@ -15,6 +17,7 @@
 namespace xsum::core {
 namespace {
 
+using graph::CostView;
 using graph::EdgeId;
 using graph::GraphBuilder;
 using graph::KnowledgeGraph;
@@ -34,8 +37,16 @@ KnowledgeGraph MakeStar(size_t leaves) {
   return std::move(builder).Finalize();
 }
 
-std::vector<double> UnitCosts(const KnowledgeGraph& g) {
-  return std::vector<double>(g.num_edges(), 1.0);
+CostView UnitView(const KnowledgeGraph& g) {
+  CostView view;
+  view.AssignUnit(g);
+  return view;
+}
+
+CostView ViewOf(const KnowledgeGraph& g, const std::vector<double>& costs) {
+  CostView view;
+  view.Assign(g, costs);
+  return view;
 }
 
 /// Exact minimum Steiner tree cost by enumerating edge subsets (tiny
@@ -79,14 +90,14 @@ class SteinerVariantTest
 
 TEST_P(SteinerVariantTest, EmptyTerminals) {
   const KnowledgeGraph g = MakeStar(3);
-  const auto result = SteinerTree(g, UnitCosts(g), {}, Options());
+  const auto result = SteinerTree(UnitView(g), {}, Options());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.Empty());
 }
 
 TEST_P(SteinerVariantTest, SingleTerminalIsIsolatedNode) {
   const KnowledgeGraph g = MakeStar(3);
-  const auto result = SteinerTree(g, UnitCosts(g), {2}, Options());
+  const auto result = SteinerTree(UnitView(g), {2}, Options());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tree.num_nodes(), 1u);
   EXPECT_EQ(result->tree.num_edges(), 0u);
@@ -95,7 +106,7 @@ TEST_P(SteinerVariantTest, SingleTerminalIsIsolatedNode) {
 
 TEST_P(SteinerVariantTest, TwoLeavesOfStarRouteViaCenter) {
   const KnowledgeGraph g = MakeStar(4);
-  const auto result = SteinerTree(g, UnitCosts(g), {1, 3}, Options());
+  const auto result = SteinerTree(UnitView(g), {1, 3}, Options());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tree.num_edges(), 2u);
   EXPECT_TRUE(result->tree.ContainsNode(0));  // Steiner node
@@ -106,7 +117,7 @@ TEST_P(SteinerVariantTest, TwoLeavesOfStarRouteViaCenter) {
 TEST_P(SteinerVariantTest, AllLeavesSpanWholeStar) {
   const KnowledgeGraph g = MakeStar(5);
   const std::vector<NodeId> terminals = {1, 2, 3, 4, 5};
-  const auto result = SteinerTree(g, UnitCosts(g), terminals, Options());
+  const auto result = SteinerTree(UnitView(g), terminals, Options());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tree.num_edges(), 5u);
   for (NodeId t : terminals) EXPECT_TRUE(result->tree.ContainsNode(t));
@@ -114,8 +125,8 @@ TEST_P(SteinerVariantTest, AllLeavesSpanWholeStar) {
 
 TEST_P(SteinerVariantTest, DuplicateTerminalsIgnored) {
   const KnowledgeGraph g = MakeStar(4);
-  const auto a = SteinerTree(g, UnitCosts(g), {1, 3}, Options());
-  const auto b = SteinerTree(g, UnitCosts(g), {1, 3, 3, 1}, Options());
+  const auto a = SteinerTree(UnitView(g), {1, 3}, Options());
+  const auto b = SteinerTree(UnitView(g), {1, 3, 3, 1}, Options());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->tree.edges(), b->tree.edges());
@@ -129,7 +140,8 @@ TEST_P(SteinerVariantTest, WeightedCostsChooseCheapRoute) {
   ASSERT_TRUE(builder.AddEdge(0, 2, Relation::kRelatedTo, 1.0).ok());
   ASSERT_TRUE(builder.AddEdge(2, 1, Relation::kRelatedTo, 1.0).ok());
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto result = SteinerTree(g, g.WeightVector(), {0, 1}, Options());
+  const auto result =
+      SteinerTree(ViewOf(g, g.WeightVector()), {0, 1}, Options());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tree.num_edges(), 2u);
   EXPECT_TRUE(result->tree.ContainsNode(2));
@@ -141,7 +153,7 @@ TEST_P(SteinerVariantTest, DisconnectedTerminalsReported) {
   ASSERT_TRUE(builder.AddEdge(0, 1, Relation::kRelatedTo, 1.0).ok());
   ASSERT_TRUE(builder.AddEdge(2, 3, Relation::kRelatedTo, 1.0).ok());
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto result = SteinerTree(g, UnitCosts(g), {0, 1, 3}, Options());
+  const auto result = SteinerTree(UnitView(g), {0, 1, 3}, Options());
   ASSERT_TRUE(result.ok());
   // {0,1} is the largest connected terminal group; 3 is unreached.
   EXPECT_EQ(result->unreached_terminals, std::vector<NodeId>{3});
@@ -152,19 +164,13 @@ TEST_P(SteinerVariantTest, DisconnectedTerminalsReported) {
 TEST_P(SteinerVariantTest, RejectsNegativeCosts) {
   const KnowledgeGraph g = MakeStar(3);
   std::vector<double> costs(g.num_edges(), -1.0);
-  const auto result = SteinerTree(g, costs, {1, 2}, Options());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
-}
-
-TEST_P(SteinerVariantTest, RejectsShortCostVector) {
-  const KnowledgeGraph g = MakeStar(3);
-  const auto result = SteinerTree(g, {1.0}, {1, 2}, Options());
+  const auto result = SteinerTree(ViewOf(g, costs), {1, 2}, Options());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST_P(SteinerVariantTest, RejectsOutOfRangeTerminal) {
   const KnowledgeGraph g = MakeStar(3);
-  const auto result = SteinerTree(g, UnitCosts(g), {99}, Options());
+  const auto result = SteinerTree(UnitView(g), {99}, Options());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
@@ -199,7 +205,7 @@ TEST_P(SteinerVariantTest, RandomGraphInvariantsAndApproximation) {
     for (uint64_t t : rng.SampleWithoutReplacement(n, 3)) {
       terminals.push_back(static_cast<NodeId>(t));
     }
-    const auto result = SteinerTree(g, costs, terminals, Options());
+    const auto result = SteinerTree(ViewOf(g, costs), terminals, Options());
     ASSERT_TRUE(result.ok());
     const auto& tree = result->tree;
 
@@ -257,14 +263,14 @@ TEST(SteinerCleanupTest, CleanupRemovesCycles) {
   const KnowledgeGraph g = std::move(builder).Finalize();
   SteinerOptions with_cleanup;
   const auto result =
-      SteinerTree(g, g.WeightVector(), {0, 3, 7, 11}, with_cleanup);
+      SteinerTree(ViewOf(g, g.WeightVector()), {0, 3, 7, 11}, with_cleanup);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.IsTree(g));
 }
 
 TEST(SteinerWorkspaceTest, ReportsWorkspaceBytes) {
   const KnowledgeGraph g = MakeStar(6);
-  const auto result = SteinerTree(g, UnitCosts(g), {1, 2, 3});
+  const auto result = SteinerTree(UnitView(g), {1, 2, 3});
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->workspace_bytes, 0u);
 }
@@ -273,13 +279,50 @@ TEST(SteinerWorkspaceTest, KmbWorkspaceGrowsWithTerminals) {
   const KnowledgeGraph g = MakeStar(64);
   SteinerOptions kmb;
   kmb.variant = SteinerOptions::Variant::kKmb;
-  const auto small = SteinerTree(g, UnitCosts(g), {1, 2, 3}, kmb);
+  const auto small = SteinerTree(UnitView(g), {1, 2, 3}, kmb);
   std::vector<NodeId> many;
   for (NodeId t = 1; t <= 40; ++t) many.push_back(t);
-  const auto large = SteinerTree(g, UnitCosts(g), many, kmb);
+  const auto large = SteinerTree(UnitView(g), many, kmb);
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
   EXPECT_GT(large->workspace_bytes, small->workspace_bytes);
+}
+
+TEST(NonFiniteCostTest, EveryKernelEntryRejectsTheView) {
+  // Eq. (1) can overflow to inf under a huge λ, and the cost transform then
+  // yields NaN; a view holding either must not be searched.
+  const KnowledgeGraph g = MakeStar(4);
+  const std::vector<NodeId> terminals = {1, 2, 3};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> costs(g.num_edges(), 1.0);
+    costs[1] = bad;
+    const CostView view = ViewOf(g, costs);
+    SteinerOptions kmb;
+    SteinerOptions mehlhorn;
+    mehlhorn.variant = SteinerOptions::Variant::kMehlhorn;
+    EXPECT_TRUE(SteinerTree(view, terminals, kmb).status().IsInvalidArgument())
+        << bad;
+    EXPECT_TRUE(
+        SteinerTree(view, terminals, mehlhorn).status().IsInvalidArgument())
+        << bad;
+    KmbClosureStore store;
+    EXPECT_TRUE(SteinerTreeChained(view, terminals, kmb, nullptr, &store)
+                    .status()
+                    .IsInvalidArgument())
+        << bad;
+    graph::SearchWorkspace ws;
+    graph::MultiQueryWorkspace mq;
+    const auto wave =
+        SteinerTreeWave(view, {terminals, {1, 4}}, kmb, &ws, &mq);
+    ASSERT_EQ(wave.size(), 2u);
+    for (const auto& slot : wave) {
+      EXPECT_TRUE(slot.status().IsInvalidArgument()) << bad;
+    }
+    EXPECT_TRUE(
+        PcstSummary(view, costs, terminals).status().IsInvalidArgument())
+        << bad;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/pcst.h"
 #include "graph/centrality.h"
+#include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
 
 namespace xsum::graph {
@@ -71,7 +72,10 @@ TEST(CentralityPrizeTest, PolicyPullsTreeThroughHubs) {
 
   core::PcstOptions options;
   options.prize_policy = core::PcstOptions::PrizePolicy::kDegreeCentrality;
-  const auto result = core::PcstSummary(g, g.WeightVector(), {1, 2}, options);
+  CostView unit;
+  unit.AssignUnit(g);
+  const auto result =
+      core::PcstSummary(unit, g.WeightVector(), {1, 2}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.ContainsNode(0)) << "hub should be the connector";
 }

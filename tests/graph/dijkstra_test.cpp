@@ -1,8 +1,13 @@
 #include "graph/dijkstra.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
+#include "graph/search_workspace.h"
 #include "util/rng.h"
 
 namespace xsum::graph {
@@ -22,24 +27,38 @@ KnowledgeGraph MakePathGraph(const std::vector<double>& edge_costs) {
   return std::move(builder).Finalize();
 }
 
+/// Cost view over the graph's own edge weights.
+CostView WeightView(const KnowledgeGraph& g) {
+  CostView view;
+  view.Assign(g, g.WeightVector());
+  return view;
+}
+
 TEST(DijkstraTest, PathGraphDistances) {
   const KnowledgeGraph g = MakePathGraph({1.0, 2.0, 3.0});
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  EXPECT_DOUBLE_EQ(tree.dist[0], 0.0);
-  EXPECT_DOUBLE_EQ(tree.dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(tree.dist[2], 3.0);
-  EXPECT_DOUBLE_EQ(tree.dist[3], 6.0);
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(0), 0.0);
+  EXPECT_DOUBLE_EQ(ws.dist(1), 1.0);
+  EXPECT_DOUBLE_EQ(ws.dist(2), 3.0);
+  EXPECT_DOUBLE_EQ(ws.dist(3), 6.0);
 }
 
 TEST(DijkstraTest, ParentPointersFormShortestPath) {
   const KnowledgeGraph g = MakePathGraph({1.0, 1.0, 1.0});
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  const Path path = tree.ExtractPath(3);
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  const Path path = ExtractPath(ws, 3);
   ASSERT_EQ(path.nodes.size(), 4u);
   EXPECT_EQ(path.nodes.front(), 0u);
   EXPECT_EQ(path.nodes.back(), 3u);
   EXPECT_EQ(path.edges.size(), 3u);
   EXPECT_TRUE(path.Validate(g, /*allow_hallucinated=*/false));
+  // The path follows the parent chain node by node.
+  for (size_t i = 1; i < path.nodes.size(); ++i) {
+    EXPECT_EQ(ws.parent_node(path.nodes[i]), path.nodes[i - 1]);
+    EXPECT_EQ(ws.parent_edge(path.nodes[i]), path.edges[i - 1]);
+  }
 }
 
 TEST(DijkstraTest, PicksCheaperOfTwoRoutes) {
@@ -50,9 +69,10 @@ TEST(DijkstraTest, PicksCheaperOfTwoRoutes) {
   ASSERT_TRUE(builder.AddEdge(0, 2, Relation::kRelatedTo, 1.0).ok());
   ASSERT_TRUE(builder.AddEdge(2, 1, Relation::kRelatedTo, 2.0).ok());
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  EXPECT_DOUBLE_EQ(tree.dist[1], 3.0);
-  EXPECT_EQ(tree.parent_node[1], 2u);
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(1), 3.0);
+  EXPECT_EQ(ws.parent_node(1), 2u);
 }
 
 TEST(DijkstraTest, UnreachableNodesStayInfinite) {
@@ -61,55 +81,82 @@ TEST(DijkstraTest, UnreachableNodesStayInfinite) {
   ASSERT_TRUE(builder.AddEdge(0, 1, Relation::kRelatedTo, 1.0).ok());
   ASSERT_TRUE(builder.AddEdge(2, 3, Relation::kRelatedTo, 1.0).ok());
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  EXPECT_EQ(tree.dist[2], kInfDistance);
-  EXPECT_EQ(tree.dist[3], kInfDistance);
-  EXPECT_TRUE(tree.ExtractPath(3).Empty());
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  EXPECT_EQ(ws.dist(2), kInfDistance);
+  EXPECT_EQ(ws.dist(3), kInfDistance);
+  EXPECT_FALSE(ws.reached(3));
+  EXPECT_TRUE(ExtractPath(ws, 3).Empty());
 }
 
 TEST(DijkstraTest, ExtractPathAtSourceIsSingleton) {
   const KnowledgeGraph g = MakePathGraph({1.0});
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  const Path path = tree.ExtractPath(0);
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  const Path path = ExtractPath(ws, 0);
   ASSERT_EQ(path.nodes.size(), 1u);
+  EXPECT_EQ(path.nodes.front(), 0u);
   EXPECT_TRUE(path.edges.empty());
+}
+
+TEST(DijkstraTest, ExtractPathBeyondWorkspaceCapacityIsEmpty) {
+  const KnowledgeGraph g = MakePathGraph({1.0, 1.0});
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  ASSERT_EQ(ws.capacity(), g.num_nodes());
+  EXPECT_TRUE(ExtractPath(ws, static_cast<NodeId>(ws.capacity())).Empty());
+  EXPECT_TRUE(ExtractPath(ws, kInvalidNode).Empty());
+  std::vector<EdgeId> edges;
+  AppendPathEdges(ws, static_cast<NodeId>(ws.capacity()), &edges);
+  EXPECT_TRUE(edges.empty());
 }
 
 TEST(DijkstraTest, EarlyExitStillCorrectForTargets) {
   const KnowledgeGraph g = MakePathGraph({1.0, 1.0, 1.0, 1.0, 1.0});
-  const auto full = Dijkstra(g, g.WeightVector(), 0);
-  const auto early = Dijkstra(g, g.WeightVector(), 0, /*targets=*/{2});
-  EXPECT_DOUBLE_EQ(early.dist[2], full.dist[2]);
-  EXPECT_DOUBLE_EQ(early.dist[1], full.dist[1]);
+  const CostView view = WeightView(g);
+  SearchWorkspace full;
+  SearchWorkspace early;
+  const std::vector<NodeId> targets = {2};
+  DijkstraInto(view, 0, {}, full);
+  DijkstraInto(view, 0, targets, early);
+  EXPECT_DOUBLE_EQ(early.dist(2), full.dist(2));
+  EXPECT_DOUBLE_EQ(early.dist(1), full.dist(1));
 }
 
 TEST(DijkstraTest, ZeroCostEdgesAllowed) {
   const KnowledgeGraph g = MakePathGraph({0.0, 0.0});
-  const auto tree = Dijkstra(g, g.WeightVector(), 0);
-  EXPECT_DOUBLE_EQ(tree.dist[2], 0.0);
+  SearchWorkspace ws;
+  DijkstraInto(WeightView(g), 0, {}, ws);
+  EXPECT_DOUBLE_EQ(ws.dist(2), 0.0);
 }
 
 TEST(MultiSourceDijkstraTest, AssignsNearestSource) {
   // Path 0-1-2-3-4, sources {0, 4}: Voronoi split at the middle.
   const KnowledgeGraph g = MakePathGraph({1.0, 1.0, 1.0, 1.0});
-  const auto voronoi = MultiSourceDijkstra(g, g.WeightVector(), {0, 4});
-  EXPECT_EQ(voronoi.nearest_source[0], 0u);
-  EXPECT_EQ(voronoi.nearest_source[1], 0u);
-  EXPECT_EQ(voronoi.nearest_source[3], 4u);
-  EXPECT_EQ(voronoi.nearest_source[4], 4u);
-  EXPECT_DOUBLE_EQ(voronoi.dist[2], 2.0);
-  EXPECT_DOUBLE_EQ(voronoi.dist[1], 1.0);
-  EXPECT_DOUBLE_EQ(voronoi.dist[3], 1.0);
+  const std::vector<NodeId> sources = {0, 4};
+  SearchWorkspace ws;
+  MultiSourceDijkstraInto(WeightView(g), sources, ws);
+  EXPECT_EQ(ws.origin(0), 0u);
+  EXPECT_EQ(ws.origin(1), 0u);
+  EXPECT_EQ(ws.origin(3), 4u);
+  EXPECT_EQ(ws.origin(4), 4u);
+  EXPECT_DOUBLE_EQ(ws.dist(2), 2.0);
+  EXPECT_DOUBLE_EQ(ws.dist(1), 1.0);
+  EXPECT_DOUBLE_EQ(ws.dist(3), 1.0);
 }
 
 TEST(MultiSourceDijkstraTest, SingleSourceEqualsDijkstra) {
   const KnowledgeGraph g = MakePathGraph({2.0, 3.0, 1.0});
-  const auto single = Dijkstra(g, g.WeightVector(), 1);
-  const auto multi = MultiSourceDijkstra(g, g.WeightVector(), {1});
+  const CostView view = WeightView(g);
+  const std::vector<NodeId> sources = {1};
+  SearchWorkspace single;
+  SearchWorkspace multi;
+  DijkstraInto(view, 1, {}, single);
+  MultiSourceDijkstraInto(view, sources, multi);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_DOUBLE_EQ(single.dist[v], multi.dist[v]);
-    EXPECT_EQ(multi.nearest_source[v],
-              single.dist[v] == kInfDistance ? kInvalidNode : 1u);
+    EXPECT_DOUBLE_EQ(single.dist(v), multi.dist(v));
+    EXPECT_EQ(multi.origin(v),
+              single.dist(v) == kInfDistance ? kInvalidNode : 1u);
   }
 }
 
@@ -141,16 +188,19 @@ TEST_P(DijkstraRandomSweep, MultiSourceMatchesMinOfSingleSources) {
                     .ok());
   }
   const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto costs = g.WeightVector();
+  const CostView view = WeightView(g);
 
   const std::vector<NodeId> sources = {3, 17, 29};
-  const auto voronoi = MultiSourceDijkstra(g, costs, sources);
-  std::vector<ShortestPathTree> trees;
-  for (NodeId s : sources) trees.push_back(Dijkstra(g, costs, s));
+  SearchWorkspace voronoi;
+  MultiSourceDijkstraInto(view, sources, voronoi);
+  std::vector<double> best(n, kInfDistance);
+  SearchWorkspace single;
+  for (NodeId s : sources) {
+    DijkstraInto(view, s, {}, single);
+    for (NodeId v = 0; v < n; ++v) best[v] = std::min(best[v], single.dist(v));
+  }
   for (NodeId v = 0; v < n; ++v) {
-    double best = kInfDistance;
-    for (const auto& tree : trees) best = std::min(best, tree.dist[v]);
-    EXPECT_NEAR(voronoi.dist[v], best, 1e-9);
+    EXPECT_NEAR(voronoi.dist(v), best[v], 1e-9);
   }
 }
 

@@ -168,12 +168,13 @@ TEST(MultiQueryDijkstraTest, FullSweepLaneMatchesAllocatingDijkstra) {
   MultiQueryDijkstra(view, queries, mq);
 
   for (size_t q = 0; q < queries.size(); ++q) {
-    const ShortestPathTree tree = Dijkstra(g, costs, queries[q].source, {});
+    SearchWorkspace fresh;
+    DijkstraInto(view, queries[q].source, {}, fresh);
     for (NodeId v = 0; v < view.graph().num_nodes(); ++v) {
-      ASSERT_EQ(mq.reached(q, v), tree.dist[v] != kInfDistance)
+      ASSERT_EQ(mq.reached(q, v), fresh.dist(v) != kInfDistance)
           << "query " << q << " node " << v;
       if (!mq.reached(q, v)) continue;
-      ASSERT_EQ(mq.dist(q, v), tree.dist[v])
+      ASSERT_EQ(mq.dist(q, v), fresh.dist(v))
           << "query " << q << " node " << v;
     }
   }

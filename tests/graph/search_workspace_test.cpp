@@ -1,8 +1,8 @@
 /// Unit tests of the reusable search workspace: the indexed 4-ary heap's
 /// ordering and decrease-key semantics, the epoch union-find, the O(1)
-/// epoch reset of every stamped facility, and equivalence of the
-/// workspace-resident Dijkstra against the allocating wrapper under heavy
-/// reuse across graphs of different sizes.
+/// epoch reset of every stamped facility, and equivalence of a heavily
+/// reused workspace against a fresh one under Dijkstra across graphs of
+/// different sizes.
 
 #include "graph/search_workspace.h"
 
@@ -185,21 +185,23 @@ TEST(DijkstraWorkspaceTest, ReusedWorkspaceMatchesFreshAcrossGraphSizes) {
 
     CostView view;
     view.Assign(g, costs);
-    const ShortestPathTree fresh = Dijkstra(g, costs, source, targets);
+    SearchWorkspace fresh;
+    DijkstraInto(view, source, targets, fresh);
     DijkstraInto(view, source, targets, reused);
     for (NodeId t : targets) {
-      EXPECT_EQ(fresh.dist[t], reused.dist(t));
-      const Path a = fresh.ExtractPath(t);
+      EXPECT_EQ(fresh.dist(t), reused.dist(t));
+      const Path a = ExtractPath(fresh, t);
       const Path b = ExtractPath(reused, t);
       EXPECT_EQ(a.nodes, b.nodes);
       EXPECT_EQ(a.edges, b.edges);
     }
 
     // Full-sweep comparison (no targets): every node's distance matches.
-    const ShortestPathTree full = Dijkstra(g, costs, source);
+    SearchWorkspace full;
+    DijkstraInto(view, source, {}, full);
     DijkstraInto(view, source, {}, reused);
     for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(full.dist[v], reused.dist(v)) << "node " << v;
+      EXPECT_EQ(full.dist(v), reused.dist(v)) << "node " << v;
     }
 
     // A recommitted view (fresh version, same costs) produces identical
@@ -209,7 +211,7 @@ TEST(DijkstraWorkspaceTest, ReusedWorkspaceMatchesFreshAcrossGraphSizes) {
     EXPECT_NE(recommitted.version(), view.version());
     DijkstraInto(recommitted, source, {}, reused);
     for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(full.dist[v], reused.dist(v)) << "node " << v;
+      EXPECT_EQ(full.dist(v), reused.dist(v)) << "node " << v;
     }
   }
 }
@@ -227,13 +229,14 @@ TEST(DijkstraWorkspaceTest, MultiSourceReuseMatchesFresh) {
     }
     CostView view;
     view.Assign(g, costs);
-    const VoronoiResult fresh = MultiSourceDijkstra(g, costs, sources);
+    SearchWorkspace fresh;
+    MultiSourceDijkstraInto(view, sources, fresh);
     MultiSourceDijkstraInto(view, sources, reused);
     for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(fresh.dist[v], reused.dist(v));
-      EXPECT_EQ(fresh.nearest_source[v], reused.origin(v));
-      EXPECT_EQ(fresh.parent_node[v], reused.parent_node(v));
-      EXPECT_EQ(fresh.parent_edge[v], reused.parent_edge(v));
+      EXPECT_EQ(fresh.dist(v), reused.dist(v));
+      EXPECT_EQ(fresh.origin(v), reused.origin(v));
+      EXPECT_EQ(fresh.parent_node(v), reused.parent_node(v));
+      EXPECT_EQ(fresh.parent_edge(v), reused.parent_edge(v));
     }
   }
 }

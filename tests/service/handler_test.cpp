@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -180,6 +181,28 @@ TEST_F(HandlerTest, SummarizeUnknownUnitIs404) {
   const auto response =
       Call("POST", "/summarize", R"({"user":999999,"k":3})");
   EXPECT_EQ(response.status, 404);
+}
+
+TEST_F(HandlerTest, SummarizeUnitAboveUint32RangeIs400) {
+  // 2^32 + u must not wrap to unit u and answer u's summary.
+  const uint64_t wrapped = (uint64_t{1} << 32) + FirstUser();
+  const auto response =
+      Call("POST", "/summarize",
+           R"({"user":)" + std::to_string(wrapped) + R"(,"k":3})");
+  EXPECT_EQ(response.status, 400) << response.body;
+}
+
+TEST_F(HandlerTest, SummarizeOverflowingLambdaIsRejected) {
+  // Eq. (1) overflows to inf at λ = 1e308 and the cost transform turns
+  // that into NaN costs; no variant may answer with a summary.
+  const std::string user = std::to_string(FirstUser());
+  for (const char* variant : {"kmb", "mehlhorn"}) {
+    const auto response =
+        Call("POST", "/summarize",
+             R"({"user":)" + user + R"(,"k":3,"lambda":1e308,"variant":")" +
+                 variant + R"("})");
+    EXPECT_EQ(response.status, 400) << variant << ": " << response.body;
+  }
 }
 
 TEST_F(HandlerTest, SummarizeMatchesDirectEngineCall) {

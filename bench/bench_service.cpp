@@ -26,6 +26,11 @@
 ///   XSUM_BATCH_WINDOW_US  batched arm's window                (default 1000)
 ///   XSUM_BATCH_MAX        batched arm's wave-size cap         (default 8)
 ///
+/// A handler arm times warm `SummaryHandler::Handle("/summarize")` hits
+/// per method (ST, PCST) with eval on — parse, cache lookup, the fold of
+/// the record's memoized metric values, and the response write — and
+/// checks each warm body against the fresh summary's bytes.
+///
 /// XSUM_JSON emits one record per arm; `bench/compare_perf.py` diffs these
 /// across commits.
 
@@ -37,6 +42,8 @@
 
 #include "bench_common.h"
 #include "core/scenario.h"
+#include "net/http.h"
+#include "service/handler.h"
 #include "service/service.h"
 #include "service/snapshot_registry.h"
 #include "util/rng.h"
@@ -236,7 +243,67 @@ int main() {
                        nometrics_warm_ms / static_cast<double>(stream.size()),
                        0});
 
-  // Arm 5/6: concurrent cold-miss burst — the micro-batching window's
+  // Arm 5: warm handler hits, one row per method. Every user-centric
+  // (unit, k) request is answered once to fill the cache (computing and
+  // memoizing its metric values), then the timed rounds replay them all.
+  service::TaskCatalog catalog;
+  for (const core::UserRecs& ur : data.users) {
+    catalog.AddUserCentric(runner.rec_graph(), ur, 10);
+  }
+  service::SummaryService handler_service(&registry,
+                                          service::ServiceOptions());
+  service::SummaryHandler handler(&handler_service, &catalog);
+  const size_t warm_rounds = std::max<size_t>(
+      1, num_requests / std::max<size_t>(catalog.size(), 1));
+  for (const core::SummaryMethod method :
+       {core::SummaryMethod::kSteiner, core::SummaryMethod::kPcst}) {
+    std::vector<net::HttpRequest> requests;
+    for (const service::TaskCatalog::Entry& entry : catalog.entries()) {
+      service::SummaryRequest request;
+      request.scenario = entry.scenario;
+      request.unit = entry.unit;
+      request.k = entry.k;
+      request.method = method;
+      net::HttpRequest http;
+      http.method = "POST";
+      http.target = "/summarize";
+      http.body = service::SummaryRequestToJson(request).Dump();
+      requests.push_back(std::move(http));
+      const net::HttpResponse fill = handler.Handle(requests.back());
+      const auto fresh = core::Summarize(
+          runner.rec_graph(),
+          *catalog.Find(entry.scenario, entry.unit, entry.k),
+          service::RequestOptions(request));
+      bench::CheckOk(fresh.status(), "handler verify fresh");
+      if (fill.status != 200 ||
+          fill.body != service::SummaryToJson(
+                           *fresh, handler_service.serving_version())) {
+        std::fprintf(stderr, "FATAL: handler body differs from fresh\n");
+        std::exit(1);
+      }
+    }
+    WallTimer timer;
+    timer.Start();
+    for (size_t round = 0; round < warm_rounds; ++round) {
+      for (const net::HttpRequest& http : requests) {
+        if (handler.Handle(http).status != 200) {
+          std::fprintf(stderr, "FATAL: warm handler hit failed\n");
+          std::exit(1);
+        }
+      }
+    }
+    const double hit_ms = timer.ElapsedMillis() /
+                          static_cast<double>(warm_rounds * requests.size());
+    const char* label = core::SummaryMethodToString(method);
+    std::printf("\nhandler warm hit (%s, eval on): %.4f ms/request over %zu "
+                "requests\n",
+                label, hit_ms, warm_rounds * requests.size());
+    bench::EmitPerfJson({"service.handler",
+                         std::string(label) + ".warm_hit", n, mean_t, hit_ms,
+                         0});
+  }
+
+  // Arm 6/7: concurrent cold-miss burst — the micro-batching window's
   // target shape. Client threads race *distinct* KMB requests at a cold
   // cache (every one a miss, nothing to coalesce key-wise); λ = 0 keeps
   // the Eq. (1) overlay a no-op so the misses are wave-eligible. The pair

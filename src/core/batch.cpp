@@ -99,6 +99,37 @@ const graph::CostView& PcstCostView(const data::RecGraph& rec_graph,
   return ctx.cost_view;
 }
 
+/// True when no input path of \p task touches an edge (an empty Eq. (1)
+/// overlay).
+bool NoPathEdges(const SummaryTask& task) {
+  for (const graph::Path& path : task.paths) {
+    for (const graph::EdgeId e : path.edges) {
+      if (e != graph::kInvalidEdge) return false;
+    }
+  }
+  return true;
+}
+
+/// Materializes the lazily built shared base view a task will read, so
+/// the view's one-time O(|E|) build is not billed to whichever summary
+/// happens to come first (its `Summary::elapsed_ms`). ST reads it for
+/// kUnit, for an empty overlay, and — where \p noop_overlay_shares, the
+/// chained and wave paths — for the bitwise no-op overlay of λ = 0. PCST
+/// reads the all-ones view unless it weighs edges.
+void ResolveSharedView(const SummaryTask& task,
+                       const SummarizerOptions& options,
+                       bool noop_overlay_shares,
+                       const SharedCostViews& views) {
+  if (options.method == SummaryMethod::kSteiner &&
+      (options.cost_mode == CostMode::kUnit || NoPathEdges(task) ||
+       (noop_overlay_shares && options.lambda == 0.0))) {
+    views.ForMode(options.cost_mode);
+  } else if (options.method == SummaryMethod::kPcst &&
+             !options.pcst.use_edge_weights) {
+    views.unit();
+  }
+}
+
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
@@ -190,6 +221,11 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
         "SummarizeWith: shared cost views built for a different graph");
   }
 
+  ResolveSharedView(
+      task, options,
+      /*noop_overlay_shares=*/next != nullptr &&
+          options.steiner.variant == SteinerOptions::Variant::kKmb,
+      views);
   WallTimer timer;
   timer.Start();
 
@@ -360,6 +396,14 @@ std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
       options.method == SummaryMethod::kSteiner &&
       options.steiner.variant == SteinerOptions::Variant::kKmb;
 
+  // The wave reads the shared view whenever any task's overlay is a
+  // no-op; the per-task fallbacks resolve their own before their timers.
+  if (wave_method) {
+    for (const SummaryTask* task : tasks) {
+      ResolveSharedView(*task, options, /*noop_overlay_shares=*/true,
+                        *views_);
+    }
+  }
   WallTimer timer;
   timer.Start();
 

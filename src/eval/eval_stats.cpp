@@ -382,8 +382,11 @@ SummaryMetricValues ComputeSummaryMetrics(const data::RecGraph& rec_graph,
 
 void EvalAccumulator::RecordSummary(const data::RecGraph& rec_graph,
                                     const core::Summary& summary) {
-  const SummaryMetricValues values =
-      ComputeSummaryMetrics(rec_graph, summary);
+  RecordSummary(summary, ComputeSummaryMetrics(rec_graph, summary));
+}
+
+void EvalAccumulator::RecordSummary(const core::Summary& summary,
+                                    const SummaryMetricValues& values) {
   RecordValues(values,
                std::string("method:") +
                    core::SummaryMethodToString(summary.method),

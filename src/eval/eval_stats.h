@@ -177,6 +177,12 @@ class EvalAccumulator {
   void RecordSummary(const data::RecGraph& rec_graph,
                      const core::Summary& summary);
 
+  /// Folds \p summary's already computed \p values (the memoized values
+  /// of a cache record), tagged exactly as the evaluating overload tags
+  /// them — so both overloads leave bit-identical state.
+  void RecordSummary(const core::Summary& summary,
+                     const SummaryMetricValues& values);
+
   /// Folds pre-computed values (test and replay-driver entry).
   void RecordValues(const SummaryMetricValues& values,
                     std::string_view method_group,

@@ -193,9 +193,9 @@ Result<MetricsSnapshot> MetricsSnapshotFromJson(const net::JsonValue& value) {
     return Status::InvalidArgument("metrics snapshot: missing counters");
   }
   for (const auto& [name, v] : counters->members()) {
-    if (!v.is_int()) {
+    if (!v.is_int() || v.AsInt() < 0) {
       return Status::InvalidArgument("metrics snapshot: counter " + name +
-                                     " not an integer");
+                                     " requires a non-negative integer");
     }
     snap.counters[name] = static_cast<uint64_t>(v.AsInt());
   }
@@ -237,18 +237,42 @@ Result<MetricsSnapshot> MetricsSnapshotFromJson(const net::JsonValue& value) {
       return Status::InvalidArgument("metrics snapshot: histogram " + name +
                                      " has wrong bucket count");
     }
+    if (count->AsInt() < 0) {
+      return Status::InvalidArgument("metrics snapshot: histogram " + name +
+                                     " count requires a non-negative "
+                                     "integer");
+    }
     h.count = static_cast<uint64_t>(count->AsInt());
-    h.sum_micros = static_cast<uint64_t>(sum->AsInt());
-    h.min_micros = static_cast<uint64_t>(min->AsInt());
-    h.max_micros = static_cast<uint64_t>(max->AsInt());
     for (int i = 0; i < kHistogramBuckets; ++i) {
       const net::JsonValue& b = buckets->items()[i];
-      if (!b.is_int()) {
+      if (!b.is_int() || b.AsInt() < 0) {
         return Status::InvalidArgument("metrics snapshot: histogram " + name +
-                                       " bucket not an integer");
+                                       " bucket requires a non-negative "
+                                       "integer");
       }
       h.counts[i] = static_cast<uint64_t>(b.AsInt());
     }
+    // The micros aggregates are uint64 on the int64 wire lane, so a value
+    // above INT64_MAX prints negative. That is genuine only when a sample
+    // landed in the overflow bucket (every other bucket holds samples
+    // below 2^38 µs, which keeps min and max below INT64_MAX and the sum
+    // below count · 2^38), or for the empty histogram's UINT64_MAX min
+    // sentinel, which prints as -1. Any other negative is corrupt.
+    const bool overflowed = h.counts[kHistogramBuckets - 1] > 0;
+    const bool sum_can_wrap =
+        overflowed ||
+        h.count >= (uint64_t{1} << 63) /
+                       HistogramBucketUpperMicros(kHistogramBuckets - 2);
+    const bool empty_min = h.count == 0 && min->AsInt() == -1;
+    if ((min->AsInt() < 0 && !overflowed && !empty_min) ||
+        (max->AsInt() < 0 && !overflowed) ||
+        (sum->AsInt() < 0 && !sum_can_wrap)) {
+      return Status::InvalidArgument("metrics snapshot: histogram " + name +
+                                     " has a negative micros aggregate");
+    }
+    h.sum_micros = static_cast<uint64_t>(sum->AsInt());
+    h.min_micros = static_cast<uint64_t>(min->AsInt());
+    h.max_micros = static_cast<uint64_t>(max->AsInt());
     snap.histograms[name] = h;
   }
   return snap;

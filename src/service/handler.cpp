@@ -1,9 +1,11 @@
 #include "service/handler.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -91,13 +93,25 @@ bool UnitIsUser(core::Scenario scenario) {
          scenario == core::Scenario::kUserGroup;
 }
 
+/// `SummaryToJson`'s integer form: `net::JsonValue`'s int64 lane, so an
+/// unsigned value above INT64_MAX prints as its two's-complement int64.
+void AppendInt(int64_t value, std::string* out) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  (void)ec;
+  out->append(buf, ptr);
+}
+
+/// Appends `,"key":[id,id,...]`.
 template <typename T>
-net::JsonValue IdArray(const std::vector<T>& ids) {
-  net::JsonValue array = net::JsonValue::Array();
-  for (const T id : ids) {
-    array.Append(net::JsonValue(static_cast<int64_t>(id)));
+void AppendIdArray(std::string_view key, const std::vector<T>& ids,
+                   std::string* out) {
+  out->append(",\"").append(key).append("\":[");
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    AppendInt(static_cast<int64_t>(ids[i]), out);
   }
-  return array;
+  out->push_back(']');
 }
 
 }  // namespace
@@ -354,8 +368,8 @@ net::HttpResponse SummaryHandler::Summarize(const SummaryRequest& request,
   // registry read racing a concurrent /snapshot publish.
   uint64_t version = 0;
   const auto result =
-      service_->Summarize(*task, RequestOptions(request), predecessor,
-                          &version, UnitFingerprint(request), trace);
+      service_->SummarizeRecord(*task, RequestOptions(request), predecessor,
+                                &version, UnitFingerprint(request), trace);
   if (!result.ok()) {
     // No published snapshot is a *readiness* condition, not a server bug:
     // the process answers 503 so routers fail over instead of ejecting it
@@ -372,21 +386,25 @@ net::HttpResponse SummaryHandler::Summarize(const SummaryRequest& request,
     return JsonError(result.status().IsInvalidArgument() ? 400 : 500,
                      result.status().ToString());
   }
+  const SummaryRecord& record = **result;
   if (eval_enabled()) {
     // Evaluate against the snapshot the request was pinned to. A
     // concurrent /snapshot publish can move the registry between the
     // compute and this read; evaluating a summary against a *different*
     // graph would poison the fleet-merge bit-identity, so a version
     // mismatch is counted as a skip instead (itself a mergeable stat).
+    // The values themselves are memoized in the record: the first
+    // eval-enabled answer computes them, every later hit folds them.
     const GraphSnapshot snap = service_->CurrentSnapshot();
     if (snap.valid() && snap.version == version) {
-      eval_stats_.RecordSummary(*snap.graph, **result);
+      eval_stats_.RecordSummary(record.summary(),
+                                record.MetricValues(*snap.graph));
     } else {
       eval_stats_.RecordSkipped();
     }
   }
   net::HttpResponse response;
-  response.body = SummaryToJson(**result, version);
+  response.body = SummaryToJson(record.summary(), version);
   return response;
 }
 
@@ -554,18 +572,34 @@ net::HttpResponse SummaryHandler::HandleSnapshot() {
 
 std::string SummaryToJson(const core::Summary& summary,
                           uint64_t snapshot_version) {
-  net::JsonValue json = net::JsonValue::Object();
-  json.Set("snapshot_version", snapshot_version);
-  json.Set("scenario", core::ScenarioToString(summary.scenario));
-  json.Set("method", core::SummaryMethodToString(summary.method));
-  json.Set("anchors", IdArray(summary.anchors));
-  json.Set("terminals", IdArray(summary.terminals));
-  json.Set("unreached_terminals", IdArray(summary.unreached_terminals));
-  json.Set("num_nodes", summary.subgraph.num_nodes());
-  json.Set("num_edges", summary.subgraph.num_edges());
-  json.Set("nodes", IdArray(summary.subgraph.nodes()));
-  json.Set("edges", IdArray(summary.subgraph.edges()));
-  return json.Dump();
+  // Written straight into one buffer, byte-identical to dumping the
+  // equivalent `net::JsonValue` object (keys in this order, no
+  // whitespace, integers through the int64 lane). The scenario and
+  // method names are fixed ASCII tokens with nothing to escape.
+  const size_t ids = summary.anchors.size() + summary.terminals.size() +
+                     summary.unreached_terminals.size() +
+                     summary.subgraph.num_nodes() +
+                     summary.subgraph.num_edges();
+  std::string out;
+  out.reserve(192 + 11 * ids);
+  out.append("{\"snapshot_version\":");
+  AppendInt(static_cast<int64_t>(snapshot_version), &out);
+  out.append(",\"scenario\":\"")
+      .append(core::ScenarioToString(summary.scenario))
+      .append("\",\"method\":\"")
+      .append(core::SummaryMethodToString(summary.method))
+      .push_back('"');
+  AppendIdArray("anchors", summary.anchors, &out);
+  AppendIdArray("terminals", summary.terminals, &out);
+  AppendIdArray("unreached_terminals", summary.unreached_terminals, &out);
+  out.append(",\"num_nodes\":");
+  AppendInt(static_cast<int64_t>(summary.subgraph.num_nodes()), &out);
+  out.append(",\"num_edges\":");
+  AppendInt(static_cast<int64_t>(summary.subgraph.num_edges()), &out);
+  AppendIdArray("nodes", summary.subgraph.nodes(), &out);
+  AppendIdArray("edges", summary.subgraph.edges(), &out);
+  out.push_back('}');
+  return out;
 }
 
 net::JsonValue ServiceStatsToJsonValue(const ServiceStats& stats) {

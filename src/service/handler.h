@@ -245,7 +245,11 @@ class SummaryHandler {
 };
 
 /// Renders \p summary as the deterministic `/summarize` response document
-/// (sorted subgraph ids, no timing fields).
+/// (sorted subgraph ids, no timing fields): `{"snapshot_version",
+/// "scenario", "method", "anchors", "terminals", "unreached_terminals",
+/// "num_nodes", "num_edges", "nodes", "edges"}`. Written directly into one
+/// reserved string, byte-identical to the `net::JsonValue` dump of the
+/// same members (tests/service/summary_json_test.cpp).
 std::string SummaryToJson(const core::Summary& summary,
                           uint64_t snapshot_version);
 

@@ -51,7 +51,7 @@ std::shared_ptr<SummaryService::ServingState> SummaryService::CurrentState() {
   return state_;
 }
 
-Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeOn(
+Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeOn(
     ServingState& state, const core::SummaryTask& task,
     const core::SummarizerOptions& options,
     const core::SummaryChain* prev_chain,
@@ -115,11 +115,11 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeOn(
       next_chain->has_state) {
     *out_chain = std::move(next_chain);
   }
-  return std::shared_ptr<const core::Summary>(
-      std::make_shared<core::Summary>(std::move(*result)));
+  return std::shared_ptr<const SummaryRecord>(
+      std::make_shared<SummaryRecord>(std::move(*result)));
 }
 
-Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeWaveOn(
+Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeWaveOn(
     ServingState& state, const core::SummaryTask& task,
     std::vector<BatchGroup::Member> members,
     const core::SummarizerOptions& options, obs::Trace* trace) {
@@ -169,16 +169,16 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeWaveOn(
   for (size_t i = 0; i < members.size(); ++i) {
     BatchGroup::Member& m = members[i];
     Result<core::Summary>& r = results[i + 1];
-    std::shared_ptr<const core::Summary> shared;
+    std::shared_ptr<const SummaryRecord> shared;
     if (r.ok()) {
-      shared = std::make_shared<core::Summary>(std::move(*r));
+      shared = std::make_shared<SummaryRecord>(std::move(*r));
       cache_.Insert(m.key, shared, /*chain=*/nullptr, m.route_key);
     }
     {
       sync::MutexLock lock(m.flight->mutex);
       m.flight->done = true;
       m.flight->status = r.status();
-      m.flight->summary = shared;
+      m.flight->record = shared;
     }
     {
       sync::MutexLock lock(flights_mutex_);
@@ -188,11 +188,22 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::ComputeWaveOn(
   }
   Result<core::Summary>& own = results[0];
   if (!own.ok()) return own.status();
-  return std::shared_ptr<const core::Summary>(
-      std::make_shared<core::Summary>(std::move(*own)));
+  return std::shared_ptr<const SummaryRecord>(
+      std::make_shared<SummaryRecord>(std::move(*own)));
 }
 
 Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
+    const core::SummaryTask& task, const core::SummarizerOptions& options,
+    const core::SummaryTask* predecessor, uint64_t* served_version,
+    uint64_t route_key, obs::Trace* trace) {
+  Result<std::shared_ptr<const SummaryRecord>> record = SummarizeRecord(
+      task, options, predecessor, served_version, route_key, trace);
+  if (!record.ok()) return record.status();
+  const std::shared_ptr<const SummaryRecord>& owner = *record;
+  return std::shared_ptr<const core::Summary>(owner, &owner->summary());
+}
+
+Result<std::shared_ptr<const SummaryRecord>> SummaryService::SummarizeRecord(
     const core::SummaryTask& task, const core::SummarizerOptions& options,
     const core::SummaryTask* predecessor, uint64_t* served_version,
     uint64_t route_key, obs::Trace* trace) {
@@ -216,7 +227,7 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
   if (!options_.enable_cache) {
     // Without a cache there is no (task, k−1) entry to seed from; the
     // predecessor hint is meaningless here.
-    Result<std::shared_ptr<const core::Summary>> result =
+    Result<std::shared_ptr<const SummaryRecord>> result =
         ComputeOn(*state, task, options, /*prev_chain=*/nullptr,
                   /*out_chain=*/nullptr, trace);
     RecordLatency(timer.ElapsedMillis(), !result.ok());
@@ -229,7 +240,7 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
 
   {
     obs::SpanTimer lookup_span(trace, "cache.lookup");
-    std::shared_ptr<const core::Summary> hit = cache_.Lookup(key);
+    std::shared_ptr<const SummaryRecord> hit = cache_.Lookup(key);
     if (hit != nullptr) {
       lookup_span.set_note("hit");
       RecordLatency(timer.ElapsedMillis(), /*error=*/false);
@@ -255,18 +266,18 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
   }
   if (!leader) {
     Status status;
-    std::shared_ptr<const core::Summary> summary;
+    std::shared_ptr<const SummaryRecord> record;
     {
       obs::SpanTimer wait_span(trace, "singleflight.wait");
       sync::MutexLock lock(flight->mutex);
       while (!flight->done) lock.Wait(flight->cv);
       status = flight->status;
-      summary = flight->summary;
+      record = flight->record;
     }
     coalesced_->Add();
     RecordLatency(timer.ElapsedMillis(), !status.ok());
     if (!status.ok()) return status;
-    return summary;
+    return record;
   }
 
   // Incremental assist: a k-sweep caller names the same unit's k−1 task;
@@ -291,7 +302,7 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
   // are bit-identical either way, the window only trades a bounded wait
   // for amortized traversal under concurrent miss bursts.
   std::shared_ptr<core::SummaryChain> out_chain;
-  Result<std::shared_ptr<const core::Summary>> result =
+  Result<std::shared_ptr<const SummaryRecord>> result =
       Status::Internal("SummaryService: compute not reached");
   bool waved = false;
   const bool wave_eligible =
@@ -337,16 +348,16 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
         obs::SpanTimer wait_span(trace, "batch.wait");
         wait_span.set_note("member");
         Status status;
-        std::shared_ptr<const core::Summary> summary;
+        std::shared_ptr<const SummaryRecord> record;
         {
           sync::MutexLock lock(flight->mutex);
           while (!flight->done) lock.Wait(flight->cv);
           status = flight->status;
-          summary = flight->summary;
+          record = flight->record;
         }
         RecordLatency(timer.ElapsedMillis(), !status.ok());
         if (!status.ok()) return status;
-        return summary;
+        return record;
       }
       // The window closed between discovery and join — compute solo.
     } else {
@@ -395,7 +406,7 @@ Result<std::shared_ptr<const core::Summary>> SummaryService::Summarize(
     sync::MutexLock lock(flight->mutex);
     flight->done = true;
     flight->status = result.status();
-    if (result.ok()) flight->summary = *result;
+    if (result.ok()) flight->record = *result;
   }
   {
     sync::MutexLock lock(flights_mutex_);

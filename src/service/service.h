@@ -20,7 +20,7 @@
 ///
 /// Misses borrow one of `num_workers` `SummarizeContext` slots (blocking
 /// when all are busy), so steady-state serving allocates nothing beyond
-/// the cached summaries themselves. `Stats()` exposes QPS, hit rate, and
+/// the cached summary records themselves. `Stats()` exposes QPS, hit rate, and
 /// p50/p99 latency for dashboards and the service bench.
 
 #ifndef XSUM_SERVICE_SERVICE_H_
@@ -142,7 +142,21 @@ class SummaryService {
   /// inheritor. 0 = untagged.
   /// \p trace, when non-null, receives spans for the request's cache
   /// lookup, single-flight wait, worker-slot wait, and kernel time.
+  ///
+  /// The returned pointer aliases the summary inside the cache record
+  /// `SummarizeRecord` answers with (it keeps the whole record alive).
   Result<std::shared_ptr<const core::Summary>> Summarize(
+      const core::SummaryTask& task, const core::SummarizerOptions& options,
+      const core::SummaryTask* predecessor = nullptr,
+      uint64_t* served_version = nullptr, uint64_t route_key = 0,
+      obs::Trace* trace = nullptr);
+
+  /// `Summarize` answering with the whole cache record: the summary plus
+  /// its memoized metric slot (`SummaryRecord`). Hits, coalesced
+  /// followers and wave members all receive the record the leader
+  /// cached, so the metric values are computed at most once per
+  /// (snapshot version, task fingerprint). The handler's path.
+  Result<std::shared_ptr<const SummaryRecord>> SummarizeRecord(
       const core::SummaryTask& task, const core::SummarizerOptions& options,
       const core::SummaryTask* predecessor = nullptr,
       uint64_t* served_version = nullptr, uint64_t route_key = 0,
@@ -213,7 +227,7 @@ class SummaryService {
     std::condition_variable cv;
     bool done XSUM_GUARDED_BY(mutex) = false;
     Status status XSUM_GUARDED_BY(mutex);
-    std::shared_ptr<const core::Summary> summary XSUM_GUARDED_BY(mutex);
+    std::shared_ptr<const SummaryRecord> record XSUM_GUARDED_BY(mutex);
   };
 
   /// One open micro-batching window: the rendezvous where wave-eligible
@@ -248,7 +262,7 @@ class SummaryService {
   /// Leases a worker slot and runs the engine. \p prev_chain (may be null)
   /// seeds the chained summarization; \p out_chain (may be null) receives
   /// the checkpoint the step produced, for caching alongside the summary.
-  Result<std::shared_ptr<const core::Summary>> ComputeOn(
+  Result<std::shared_ptr<const SummaryRecord>> ComputeOn(
       ServingState& state, const core::SummaryTask& task,
       const core::SummarizerOptions& options,
       const core::SummaryChain* prev_chain,
@@ -256,12 +270,12 @@ class SummaryService {
 
   /// Wave leader path: runs the leader's \p task plus every joined
   /// \p members request as one `RunWaveWith` wave on a single worker
-  /// slot, then inserts each member's summary into the cache and
+  /// slot, then inserts each member's record into the cache and
   /// publishes its flight. Returns the leader's own result (cached and
   /// published by the caller's common path); members are answered as a
   /// side effect. Wave results carry no chain checkpoints (checkpoints
   /// only accelerate later computes — responses are unaffected).
-  Result<std::shared_ptr<const core::Summary>> ComputeWaveOn(
+  Result<std::shared_ptr<const SummaryRecord>> ComputeWaveOn(
       ServingState& state, const core::SummaryTask& task,
       std::vector<BatchGroup::Member> members,
       const core::SummarizerOptions& options, obs::Trace* trace);

@@ -86,6 +86,15 @@ size_t SummaryFootprintBytes(const core::Summary& summary) {
   return bytes;
 }
 
+const eval::SummaryMetricValues& SummaryRecord::MetricValues(
+    const data::RecGraph& rec_graph) const {
+  std::call_once(metrics_once_, [&] {
+    metrics_ = eval::ComputeSummaryMetrics(rec_graph, summary_);
+    metric_computations_.fetch_add(1, std::memory_order_release);
+  });
+  return metrics_;
+}
+
 SummaryCache::SummaryCache() : SummaryCache(Options()) {}
 
 SummaryCache::SummaryCache(const Options& options)
@@ -100,12 +109,12 @@ SummaryCache::SummaryCache(const Options& options)
   }
 }
 
-std::shared_ptr<const core::Summary> SummaryCache::Lookup(
+std::shared_ptr<const SummaryRecord> SummaryCache::Lookup(
     const CacheKey& key) {
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
   auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second->summary == nullptr) {
+  if (it == shard.map.end() || it->second->record == nullptr) {
     // A chain-only placeholder (imported drain checkpoint) is a *miss*:
     // it holds reusable closure state, not an answer, and serving it
     // would break the byte-identity invariant.
@@ -114,7 +123,7 @@ std::shared_ptr<const core::Summary> SummaryCache::Lookup(
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->summary;
+  return it->second->record;
 }
 
 std::shared_ptr<const core::SummaryChain> SummaryCache::LookupChain(
@@ -147,15 +156,15 @@ void SummaryCache::EmplaceLocked(Shard& shard, Entry entry) {
 }
 
 void SummaryCache::Insert(const CacheKey& key,
-                          std::shared_ptr<const core::Summary> summary,
+                          std::shared_ptr<const SummaryRecord> record,
                           std::shared_ptr<const core::SummaryChain> chain,
                           uint64_t route_key) {
-  if (summary == nullptr) return;
+  if (record == nullptr) return;
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    if (it->second->summary != nullptr) return;  // first full writer wins
+    if (it->second->record != nullptr) return;  // first full writer wins
     // Chain-only placeholder from a drain handoff: upgrade it. The
     // imported chain survives when the writer brings none (it may hold a
     // longer-reusable closure than this step produced).
@@ -165,9 +174,9 @@ void SummaryCache::Insert(const CacheKey& key,
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
-  size_t bytes = SummaryFootprintBytes(*summary) + sizeof(Entry);
+  size_t bytes = record->FootprintBytes() + sizeof(Entry);
   if (chain != nullptr) bytes += chain->MemoryFootprintBytes();
-  EmplaceLocked(shard, Entry{key, std::move(summary), std::move(chain),
+  EmplaceLocked(shard, Entry{key, std::move(record), std::move(chain),
                              route_key, bytes});
 }
 
@@ -177,7 +186,7 @@ void SummaryCache::InsertChainOnly(
   if (chain == nullptr) return;
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
-  std::shared_ptr<const core::Summary> summary;
+  std::shared_ptr<const SummaryRecord> record;
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     if (it->second->chain != nullptr) return;  // resident checkpoint wins
@@ -185,15 +194,15 @@ void SummaryCache::InsertChainOnly(
     // method landed first under fingerprint reuse is impossible — same
     // key means same options — but a budget-trimmed insert can): attach
     // the imported chain, keeping the summary.
-    summary = it->second->summary;
+    record = it->second->record;
     if (route_key == 0) route_key = it->second->route_key;
     shard.bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
   size_t bytes = sizeof(Entry) + chain->MemoryFootprintBytes();
-  if (summary != nullptr) bytes += SummaryFootprintBytes(*summary);
-  EmplaceLocked(shard, Entry{key, std::move(summary), std::move(chain),
+  if (record != nullptr) bytes += record->FootprintBytes();
+  EmplaceLocked(shard, Entry{key, std::move(record), std::move(chain),
                              route_key, bytes});
 }
 

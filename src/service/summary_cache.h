@@ -20,26 +20,32 @@
 /// Sharding. Keys are distributed over `num_shards` independent shards
 /// (shard = fingerprint-low bits), each with its own mutex, LRU list, and
 /// slice of the byte budget, so concurrent requests for different tasks do
-/// not serialize on one lock. Values are `shared_ptr<const Summary>`:
-/// readers share the stored object; eviction never invalidates a summary a
+/// not serialize on one lock. Values are `shared_ptr<const SummaryRecord>`:
+/// readers share the stored record; eviction never invalidates a record a
 /// caller already holds.
 ///
 /// Budget. `Options::max_bytes` bounds the *accounted* resident size — the
-/// `SummaryFootprintBytes` of every cached value plus per-entry bookkeeping
-/// — enforced per shard (budget / num_shards each); inserting past the
-/// budget evicts least-recently-used entries first. A value larger than a
-/// whole shard budget is simply not retained.
+/// `SummaryRecord::FootprintBytes` of every cached value (the summary plus
+/// its memoized metric slot) plus per-entry bookkeeping — enforced per
+/// shard (budget / num_shards each); inserting past the budget evicts
+/// least-recently-used entries first. A value larger than a whole shard
+/// budget is simply not retained.
 
 #ifndef XSUM_SERVICE_SUMMARY_CACHE_H_
 #define XSUM_SERVICE_SUMMARY_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/summarizer.h"
+#include "data/kg_builder.h"
+#include "eval/eval_stats.h"
 #include "util/sync.h"
 
 namespace xsum::core {
@@ -80,6 +86,49 @@ void FingerprintTask(const core::SummaryTask& task,
 /// terminal/anchor vectors + the struct itself).
 size_t SummaryFootprintBytes(const core::Summary& summary);
 
+/// \brief One cache value: an immutable summary plus its per-request
+/// evaluation values (paper §V-B, `eval::ComputeSummaryMetrics`), which
+/// are a pure function of (summary, snapshot graph) and therefore
+/// memoized here instead of recomputed on every hit (DESIGN.md §3.1).
+///
+/// The values are computed lazily, at most once per record, by the first
+/// `MetricValues` caller; concurrent first callers block on that one
+/// computation and share it. A record is keyed under one snapshot
+/// version, so every caller passes that version's graph. Nothing in the
+/// cache or the service ever asks for the values: only an eval-enabled
+/// handler does, outside every cache-shard lock and worker slot.
+class SummaryRecord {
+ public:
+  explicit SummaryRecord(core::Summary summary)
+      : summary_(std::move(summary)) {}
+
+  const core::Summary& summary() const { return summary_; }
+
+  /// The summary's metric values against \p rec_graph, which must be the
+  /// graph of the snapshot version this record was computed on.
+  const eval::SummaryMetricValues& MetricValues(
+      const data::RecGraph& rec_graph) const;
+
+  /// How many times the metric values were computed: 0 until the first
+  /// `MetricValues` call, 1 forever after.
+  uint32_t metric_computations() const {
+    return metric_computations_.load(std::memory_order_acquire);
+  }
+
+  /// Accounted resident bytes: the summary's `SummaryFootprintBytes`
+  /// plus the record's own memo slot.
+  size_t FootprintBytes() const {
+    return SummaryFootprintBytes(summary_) + sizeof(SummaryRecord) -
+           sizeof(core::Summary);
+  }
+
+ private:
+  core::Summary summary_;
+  mutable std::once_flag metrics_once_;
+  mutable eval::SummaryMetricValues metrics_;
+  mutable std::atomic<uint32_t> metric_computations_{0};
+};
+
 /// \brief Aggregated cache counters (summed over shards).
 struct CacheStats {
   uint64_t hits = 0;
@@ -110,9 +159,9 @@ class SummaryCache {
   SummaryCache();
   explicit SummaryCache(const Options& options);
 
-  /// Returns the cached summary for \p key and marks it most-recently-used,
+  /// Returns the cached record for \p key and marks it most-recently-used,
   /// or nullptr on miss.
-  std::shared_ptr<const core::Summary> Lookup(const CacheKey& key);
+  std::shared_ptr<const SummaryRecord> Lookup(const CacheKey& key);
 
   /// Returns the chain checkpoint stored alongside \p key's summary, or
   /// nullptr when the key is absent or was inserted without one. Does not
@@ -121,7 +170,7 @@ class SummaryCache {
   /// from the (task, k−1) entry, not a cache answer.
   std::shared_ptr<const core::SummaryChain> LookupChain(const CacheKey& key);
 
-  /// Inserts \p summary under \p key (no-op if the key already holds a
+  /// Inserts \p record under \p key (no-op if the key already holds a
   /// summary — first writer wins, so concurrent single-flight losers
   /// don't churn the LRU list; a chain-only placeholder from a drain
   /// handoff *is* upgraded in place, keeping its imported chain when the
@@ -132,7 +181,7 @@ class SummaryCache {
   /// fingerprint (`UnitFingerprint`) so a drain can hand the chain to
   /// the ring inheritor (0 = untagged, not exportable).
   void Insert(const CacheKey& key,
-              std::shared_ptr<const core::Summary> summary,
+              std::shared_ptr<const SummaryRecord> record,
               std::shared_ptr<const core::SummaryChain> chain = nullptr,
               uint64_t route_key = 0);
 
@@ -167,7 +216,7 @@ class SummaryCache {
   struct Entry {
     CacheKey key;
     /// Null for a chain-only placeholder (imported drain checkpoint).
-    std::shared_ptr<const core::Summary> summary;
+    std::shared_ptr<const SummaryRecord> record;
     /// Chain checkpoint of the chained-summarization path (may be null).
     std::shared_ptr<const core::SummaryChain> chain;
     /// `UnitFingerprint` of the request that produced the entry; 0 when

@@ -251,6 +251,60 @@ TEST(MetricsSnapshotTest, FromJsonRejectsBucketCountMismatch) {
   EXPECT_TRUE(parsed.status().IsInvalidArgument());
 }
 
+/// A scrape document with one counter, one gauge and one histogram whose
+/// first bucket holds \p bucket0 samples.
+net::JsonValue ScrapeDoc(int64_t counter, int64_t gauge, int64_t count,
+                         int64_t sum, int64_t min, int64_t max,
+                         int64_t bucket0) {
+  net::JsonValue counters = net::JsonValue::Object();
+  counters.Set("service_requests", counter);
+  net::JsonValue gauges = net::JsonValue::Object();
+  gauges.Set("service_in_flight", gauge);
+  net::JsonValue buckets = net::JsonValue::Array();
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    buckets.Append(net::JsonValue(i == 0 ? bucket0 : int64_t{0}));
+  }
+  net::JsonValue h = net::JsonValue::Object();
+  h.Set("count", count);
+  h.Set("sum_micros", sum);
+  h.Set("min_micros", min);
+  h.Set("max_micros", max);
+  h.Set("counts", std::move(buckets));
+  net::JsonValue histograms = net::JsonValue::Object();
+  histograms.Set("service_latency_ms", std::move(h));
+  net::JsonValue doc = net::JsonValue::Object();
+  doc.Set("counters", std::move(counters));
+  doc.Set("gauges", std::move(gauges));
+  doc.Set("histograms", std::move(histograms));
+  return doc;
+}
+
+TEST(MetricsSnapshotTest, FromJsonRejectsNegativeUnsignedValues) {
+  // Well-formed: a negative gauge is a legal signed level, and an empty
+  // histogram's min sentinel (UINT64_MAX) travels as -1.
+  auto ok = MetricsSnapshotFromJson(ScrapeDoc(3, -2, 1, 1, 1, 1, 1));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->gauges.at("service_in_flight"), -2);
+  auto empty = MetricsSnapshotFromJson(ScrapeDoc(0, 0, 0, 0, -1, 0, 0));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->histograms.at("service_latency_ms").min_micros,
+            UINT64_MAX);
+
+  // A negative counter must not become 2^64 - 1 in the fleet sum.
+  const net::JsonValue forged[] = {
+      ScrapeDoc(-1, 0, 1, 1, 1, 1, 1),   // counter
+      ScrapeDoc(3, 0, -1, 1, 1, 1, 1),   // histogram count
+      ScrapeDoc(3, 0, 1, 1, 1, 1, -1),   // bucket count
+      ScrapeDoc(3, 0, 1, -1, 1, 1, 1),   // sum, no overflow sample
+      ScrapeDoc(3, 0, 1, 1, -3, 1, 1),   // min, non-empty histogram
+      ScrapeDoc(3, 0, 1, 1, 1, -5, 1)};  // max, no overflow sample
+  for (const net::JsonValue& doc : forged) {
+    const auto parsed = MetricsSnapshotFromJson(doc);
+    EXPECT_FALSE(parsed.ok()) << doc.Dump();
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << doc.Dump();
+  }
+}
+
 TEST(MetricsSnapshotTest, PrometheusTextIsDeterministicAndWellFormed) {
   Registry registry;
   registry.GetCounter("service_requests")->Add(9);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -235,7 +236,30 @@ TEST_F(EvalStatsEndpointTest,
   SummaryService reference_service(registry_);
   SummaryHandler reference(&reference_service, catalog_);
 
-  const std::vector<SummaryRequest> stream = Stream();
+  // The ring hashes the shards' ephemeral-port labels, so the short
+  // stream's chains can all home on one shard. Extend it, by the
+  // router's own placement, until every shard homes a request.
+  std::vector<SummaryRequest> stream = Stream();
+  std::vector<bool> homed(options.endpoints.size(), false);
+  for (const SummaryRequest& request : stream) {
+    homed[router.EndpointFor(request)] = true;
+  }
+  for (const auto& entry : catalog_->entries()) {
+    for (const core::SummaryMethod method :
+         {core::SummaryMethod::kSteiner, core::SummaryMethod::kPcst}) {
+      SummaryRequest request;
+      request.unit = entry.unit;
+      request.k = entry.k;
+      request.method = method;
+      const size_t home = router.EndpointFor(request);
+      if (!homed[home]) {
+        stream.push_back(request);
+        homed[home] = true;
+      }
+    }
+  }
+  ASSERT_EQ(std::count(homed.begin(), homed.end(), false), 0)
+      << "some shard homes no catalog unit";
   for (const SummaryRequest& request : stream) {
     ASSERT_EQ(router.Summarize(request).status, 200);
     ASSERT_EQ(reference.Summarize(request).status, 200);

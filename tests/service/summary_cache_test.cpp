@@ -98,10 +98,10 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   }
 }
 
-std::shared_ptr<const core::Summary> DummySummary(size_t num_nodes) {
-  auto summary = std::make_shared<core::Summary>();
-  summary->terminals.assign(num_nodes, 1);
-  return summary;
+std::shared_ptr<const SummaryRecord> DummyRecord(size_t num_nodes) {
+  core::Summary summary;
+  summary.terminals.assign(num_nodes, 1);
+  return std::make_shared<SummaryRecord>(std::move(summary));
 }
 
 CacheKey Key(uint64_t version, uint64_t fp) {
@@ -115,10 +115,10 @@ CacheKey Key(uint64_t version, uint64_t fp) {
 TEST(SummaryCacheTest, HitMissAndCounters) {
   SummaryCache cache;
   EXPECT_EQ(cache.Lookup(Key(1, 7)), nullptr);
-  cache.Insert(Key(1, 7), DummySummary(4));
+  cache.Insert(Key(1, 7), DummyRecord(4));
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   // Same fingerprint under another snapshot version is a different entry.
   EXPECT_EQ(cache.Lookup(Key(2, 7)), nullptr);
 
@@ -131,13 +131,27 @@ TEST(SummaryCacheTest, HitMissAndCounters) {
   EXPECT_DOUBLE_EQ(stats.HitRate(), 1.0 / 3.0);
 }
 
+TEST(SummaryCacheTest, AccountedBytesIncludeTheRecordsMetricSlot) {
+  const auto record = DummyRecord(4);
+  // The memoized metric values are resident bytes too.
+  EXPECT_GE(record->FootprintBytes(),
+            SummaryFootprintBytes(record->summary()) +
+                sizeof(eval::SummaryMetricValues));
+  EXPECT_EQ(record->metric_computations(), 0u);
+  SummaryCache cache;
+  cache.Insert(Key(1, 7), record);
+  EXPECT_GT(cache.stats().bytes, record->FootprintBytes());
+  // The cache hands out the inserted record itself, never a copy.
+  EXPECT_EQ(cache.Lookup(Key(1, 7)), record);
+}
+
 TEST(SummaryCacheTest, FirstWriterWins) {
   SummaryCache cache;
-  cache.Insert(Key(1, 7), DummySummary(4));
-  cache.Insert(Key(1, 7), DummySummary(9));  // single-flight loser: ignored
+  cache.Insert(Key(1, 7), DummyRecord(4));
+  cache.Insert(Key(1, 7), DummyRecord(9));  // single-flight loser: ignored
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
@@ -145,14 +159,14 @@ TEST(SummaryCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   SummaryCache::Options options;
   options.num_shards = 1;  // deterministic single LRU list
   // Room for exactly two dummy entries (96 covers per-entry bookkeeping:
-  // key, summary/chain pointers, route key, byte count).
-  options.max_bytes = 2 * (SummaryFootprintBytes(*DummySummary(8)) + 96);
+  // key, record/chain pointers, route key, byte count).
+  options.max_bytes = 2 * (DummyRecord(8)->FootprintBytes() + 96);
   SummaryCache cache(options);
 
-  cache.Insert(Key(1, 1), DummySummary(8));
-  cache.Insert(Key(1, 2), DummySummary(8));
+  cache.Insert(Key(1, 1), DummyRecord(8));
+  cache.Insert(Key(1, 2), DummyRecord(8));
   ASSERT_NE(cache.Lookup(Key(1, 1)), nullptr);  // 1 becomes MRU, 2 is LRU
-  cache.Insert(Key(1, 3), DummySummary(8));     // evicts 2
+  cache.Insert(Key(1, 3), DummyRecord(8));      // evicts 2
 
   EXPECT_NE(cache.Lookup(Key(1, 1)), nullptr);
   EXPECT_EQ(cache.Lookup(Key(1, 2)), nullptr);
@@ -162,7 +176,7 @@ TEST(SummaryCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_LE(stats.bytes, stats.max_bytes);
 
   // A value bigger than the whole budget is rejected, not force-fitted.
-  cache.Insert(Key(1, 4), DummySummary(100000));
+  cache.Insert(Key(1, 4), DummyRecord(100000));
   EXPECT_EQ(cache.Lookup(Key(1, 4)), nullptr);
   EXPECT_GE(cache.stats().rejected, 1u);
 }
@@ -171,19 +185,20 @@ TEST(SummaryCacheTest, EvictionDoesNotInvalidateHeldResults) {
   SummaryCache::Options options;
   options.num_shards = 1;
   // Room for exactly one dummy entry.
-  options.max_bytes = SummaryFootprintBytes(*DummySummary(8)) + 128;
+  options.max_bytes = DummyRecord(8)->FootprintBytes() + 128;
   SummaryCache cache(options);
-  cache.Insert(Key(1, 1), DummySummary(8));
+  cache.Insert(Key(1, 1), DummyRecord(8));
   const auto held = cache.Lookup(Key(1, 1));
   ASSERT_NE(held, nullptr);
-  cache.Insert(Key(1, 2), DummySummary(8));  // evicts entry 1
+  cache.Insert(Key(1, 2), DummyRecord(8));  // evicts entry 1
   EXPECT_EQ(cache.Lookup(Key(1, 1)), nullptr);
-  EXPECT_EQ(held->terminals.size(), 8u);  // still alive and untouched
+  // Still alive and untouched.
+  EXPECT_EQ(held->summary().terminals.size(), 8u);
 }
 
 TEST(SummaryCacheTest, ClearDropsEntriesKeepsCounters) {
   SummaryCache cache;
-  cache.Insert(Key(1, 1), DummySummary(2));
+  cache.Insert(Key(1, 1), DummyRecord(2));
   ASSERT_NE(cache.Lookup(Key(1, 1)), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.Lookup(Key(1, 1)), nullptr);
@@ -217,10 +232,10 @@ TEST(SummaryCacheTest, InsertUpgradesPlaceholderInPlaceKeepingItsChain) {
   cache.InsertChainOnly(Key(1, 7), DummyChain(3), 0xBEEF);
   // The computed summary arrives without a chain of its own (a plain
   // from-scratch compute): the imported checkpoint must survive.
-  cache.Insert(Key(1, 7), DummySummary(4));
+  cache.Insert(Key(1, 7), DummyRecord(4));
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   const auto chain = cache.LookupChain(Key(1, 7));
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->links, 3u);
@@ -228,7 +243,7 @@ TEST(SummaryCacheTest, InsertUpgradesPlaceholderInPlaceKeepingItsChain) {
 
 TEST(SummaryCacheTest, ResidentChainWinsOverAChainOnlyImport) {
   SummaryCache cache;
-  cache.Insert(Key(1, 7), DummySummary(4), DummyChain(9), 0xA);
+  cache.Insert(Key(1, 7), DummyRecord(4), DummyChain(9), 0xA);
   // A drained peer's import for a key we already have state for loses.
   cache.InsertChainOnly(Key(1, 7), DummyChain(1), 0xB);
   const auto chain = cache.LookupChain(Key(1, 7));
@@ -239,9 +254,9 @@ TEST(SummaryCacheTest, ResidentChainWinsOverAChainOnlyImport) {
 
 TEST(SummaryCacheTest, ExportChainsReturnsOnlyRouteTaggedChainEntries) {
   SummaryCache cache;
-  cache.Insert(Key(1, 1), DummySummary(4));                   // no chain
-  cache.Insert(Key(1, 2), DummySummary(4), DummyChain(1));    // no route key
-  cache.Insert(Key(1, 3), DummySummary(4), DummyChain(2), 0xCAFE);
+  cache.Insert(Key(1, 1), DummyRecord(4));                   // no chain
+  cache.Insert(Key(1, 2), DummyRecord(4), DummyChain(1));    // no route key
+  cache.Insert(Key(1, 3), DummyRecord(4), DummyChain(2), 0xCAFE);
   cache.InsertChainOnly(Key(1, 4), DummyChain(3), 0xF00D);
   const auto exports = cache.ExportChains();
   ASSERT_EQ(exports.size(), 2u);

@@ -16,15 +16,14 @@
 /// Comparing SeedRef vs CostView rows reports the old-vs-new throughput of
 /// repeated queries.
 ///
-/// The cross-request batching rows benchmark the multi-query kernel
-/// (DESIGN.md §8): `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B
-/// KMB tasks drawing terminals from a shared hot pool sequentially vs as
-/// one `SteinerTreeWave`, and `MultiQueryKernel` vs
-/// `DijkstraSequentialBatch` isolate the raw lockstep kernel from the
-/// wave layer's source dedup. After the google-benchmark rows, main()
-/// prints a direct wall-clock wave-speedup gate (target >= 1.5x for
-/// B >= 8). The SeedRef/CostView/wave rows emit `XSUM_JSON` perf
-/// records for cross-commit trend tracking.
+/// The cross-request batching rows benchmark the KMB wave (DESIGN.md §8):
+/// `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B KMB tasks drawing
+/// terminals from a shared hot pool sequentially vs as one
+/// `SteinerTreeWave`. After the google-benchmark rows, main() runs a
+/// direct wall-clock wave-speedup gate and exits nonzero if a B >= 8
+/// speedup is below 1.5x (`--benchmark_filter='^$'` runs the gate alone).
+/// The SeedRef/CostView/wave rows emit `XSUM_JSON` perf records for
+/// cross-commit trend tracking.
 
 #include <benchmark/benchmark.h>
 
@@ -45,7 +44,6 @@
 #include "graph/cost_view.h"
 #include "graph/dijkstra.h"
 #include "graph/mst.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "graph/subgraph.h"
 #include "util/env.h"
@@ -454,8 +452,8 @@ BENCHMARK(BM_SteinerKmbCostView)->Arg(11)->Arg(51);
 /// request mix hands the service's micro-batching window (hot users/items
 /// recur across concurrent tasks). The wave pair below prices exactly the
 /// cross-request sharing: the sequential arm searches every task's
-/// terminals from scratch, the wave arm runs one multi-query kernel sweep
-/// with sources deduplicated across the batch (target-set union).
+/// terminals from scratch, the wave arm searches each source once across
+/// the batch (target-set union).
 std::vector<std::vector<graph::NodeId>> WaveTerminalSets(size_t b) {
   const auto& rg = FixtureGraph();
   const auto pool = PickTerminals(rg, 12, 23);
@@ -496,55 +494,15 @@ void BM_SteinerKmbWave(benchmark::State& state) {
   const auto sets = WaveTerminalSets(static_cast<size_t>(state.range(0)));
   core::SteinerOptions options;
   graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
   WallTimer timer;
   timer.Start();
   for (auto _ : state) {
-    auto results = core::SteinerTreeWave(view, sets, options, &ws, &mq);
+    auto results = core::SteinerTreeWave(view, sets, options, &ws);
     benchmark::DoNotOptimize(results);
   }
   EmitMicroPerf(state, "SteinerKmbWave", sets.size(), timer.ElapsedMillis());
 }
 BENCHMARK(BM_SteinerKmbWave)->Arg(1)->Arg(8)->Arg(16)->ArgName("B");
-
-/// Raw kernel pair: B full-sweep searches from distinct sources through
-/// one `MultiQueryDijkstra` call vs B sequential `DijkstraInto` runs.
-/// Isolates the lockstep kernel itself (lane-major state, shared CSR)
-/// from the wave layer's source dedup priced by the pair above.
-void BM_MultiQueryKernel(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const graph::CostView& view = FixtureCostView();
-  const size_t b = static_cast<size_t>(state.range(0));
-  const bool wave = state.range(1) != 0;
-  Rng rng(37);
-  std::vector<graph::NodeId> sources;
-  for (size_t q = 0; q < b; ++q) {
-    sources.push_back(
-        rg.UserNode(static_cast<uint32_t>(rng.Uniform(rg.num_users()))));
-  }
-  std::vector<graph::MultiQuery> queries(b);
-  for (size_t q = 0; q < b; ++q) queries[q].source = sources[q];
-  graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    if (wave) {
-      graph::MultiQueryDijkstra(view, queries, mq);
-      benchmark::DoNotOptimize(mq);
-    } else {
-      for (const graph::NodeId src : sources) {
-        graph::DijkstraInto(view, src, {}, ws);
-        benchmark::DoNotOptimize(ws);
-      }
-    }
-  }
-  EmitMicroPerf(state, wave ? "MultiQueryKernel" : "DijkstraSequentialBatch",
-                b, timer.ElapsedMillis());
-}
-BENCHMARK(BM_MultiQueryKernel)
-    ->ArgsProduct({{8, 16}, {0, 1}})
-    ->ArgNames({"B", "wave"});
 
 void BM_SteinerMehlhornCostView(benchmark::State& state) {
   const auto& rg = FixtureGraph();
@@ -775,14 +733,17 @@ BENCHMARK(BM_WeightAdjust);
 /// table: B batched KMB tasks through one `SteinerTreeWave` call against
 /// the same tasks run back-to-back through `SteinerTree`. Independent of
 /// google-benchmark's calibration so the ratio is a single apples-to-apples
-/// wall-clock measurement (target: >= 1.5x for B >= 8).
-void ReportWaveGate() {
+/// wall-clock measurement. Returns false if any B >= 8 speedup is below
+/// `kMinWaveSpeedup`.
+bool ReportWaveGate() {
+  constexpr double kMinWaveSpeedup = 1.5;
   const graph::CostView& view = FixtureCostView();
   core::SteinerOptions options;
   graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
+  bool pass = true;
   std::printf("\ncross-request wave speedup (shared-pool KMB batch, "
-              "target >= 1.5x for B >= 8):\n");
+              "gate >= %.1fx for B >= 8):\n",
+              kMinWaveSpeedup);
   for (const size_t b : {size_t{8}, size_t{16}}) {
     const auto sets = WaveTerminalSets(b);
     constexpr int kReps = 12;
@@ -791,8 +752,7 @@ void ReportWaveGate() {
       benchmark::DoNotOptimize(
           core::SteinerTree(view, terminals, options, &ws));
     }
-    benchmark::DoNotOptimize(
-        core::SteinerTreeWave(view, sets, options, &ws, &mq));
+    benchmark::DoNotOptimize(core::SteinerTreeWave(view, sets, options, &ws));
     WallTimer timer;
     timer.Start();
     for (int rep = 0; rep < kReps; ++rep) {
@@ -805,14 +765,17 @@ void ReportWaveGate() {
     timer.Start();
     for (int rep = 0; rep < kReps; ++rep) {
       benchmark::DoNotOptimize(
-          core::SteinerTreeWave(view, sets, options, &ws, &mq));
+          core::SteinerTreeWave(view, sets, options, &ws));
     }
     const double wave_ms = timer.ElapsedMillis();
     const double speedup = wave_ms > 0.0 ? sequential_ms / wave_ms : 0.0;
+    const bool ok = speedup >= kMinWaveSpeedup;
+    pass = pass && ok;
     std::printf("  B=%-2zu  sequential %8.2f ms  wave %8.2f ms  "
-                "speedup %.2fx\n",
-                b, sequential_ms, wave_ms, speedup);
+                "speedup %.2fx  %s\n",
+                b, sequential_ms, wave_ms, speedup, ok ? "ok" : "FAIL");
   }
+  return pass;
 }
 
 }  // namespace
@@ -822,6 +785,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  ReportWaveGate();
-  return 0;
+  return ReportWaveGate() ? 0 : 1;
 }

@@ -11,13 +11,15 @@
 ///
 /// A fourth warm arm runs with histogram recording disabled
 /// (`ServiceOptions::enable_metrics = false`) — the control that prices
-/// the observability layer on the hottest path (gate: <2% overhead).
+/// the observability layer on the hottest path. Its overhead line is
+/// informational: a warm arm lasts well under a millisecond at CI's
+/// request counts, too short to resolve a 2% difference.
 ///
 /// A final pair of arms replays a burst of *distinct* KMB requests from
 /// concurrent client threads — all cache misses — with the micro-batching
 /// window off and then on, and checks the batched responses bit-for-bit
 /// against fresh `Summarize` calls. This is the regression row for the
-/// cross-request wave kernel at the service layer.
+/// cross-request KMB wave at the service layer.
 ///
 /// Env knobs (on top of the standard XSUM_* set):
 ///   XSUM_REQUESTS         requests per arm                    (default 2000)
@@ -160,8 +162,10 @@ int main() {
   const service::ServiceStats stats = cached.Stats();
 
   // Arm 3: warm cache with histogram recording off — the control that
-  // prices the observability layer. The gate is <2% overhead on the warm
-  // path; counters stay on in both arms (they are not optional).
+  // prices the observability layer; counters stay on in both arms (they
+  // are not optional). The printed overhead is informational, not a gate:
+  // at XSUM_REQUESTS=600 each warm arm lasts about 0.4 ms, so timer and
+  // scheduling noise swamp a 2% difference.
   service::ServiceOptions nometrics_options;
   nometrics_options.enable_metrics = false;
   service::SummaryService nometrics(&registry, nometrics_options);
@@ -214,7 +218,7 @@ int main() {
           ? 100.0 * (warm_ms - nometrics_warm_ms) / nometrics_warm_ms
           : 0.0;
   std::printf("\nmetrics-on overhead vs metrics-off (warm cache): %+.2f%% "
-              "(gate < 2%%)\n",
+              "(informational; not gated)\n",
               metrics_overhead_pct);
 
   const double speedup = warm_ms > 0.0 ? uncached_ms / warm_ms : 0.0;

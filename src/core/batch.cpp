@@ -440,8 +440,7 @@ std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
 
   const graph::CostView& costs = views_->ForMode(options.cost_mode);
   std::vector<Result<SteinerResult>> wave =
-      SteinerTreeWave(costs, terminal_sets, options.steiner, &ctx.workspace,
-                      &ctx.multi_query);
+      SteinerTreeWave(costs, terminal_sets, options.steiner, &ctx.workspace);
   for (size_t m = 0; m < eligible.size(); ++m) {
     const size_t i = eligible[m];
     const SummaryTask& task = *tasks[i];

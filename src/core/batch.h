@@ -24,7 +24,6 @@
 #include "core/cost_views.h"
 #include "core/summarizer.h"
 #include "graph/cost_view.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "util/thread_pool.h"
 
@@ -40,9 +39,6 @@ struct SummaryChain;  // incremental.h
 /// thread-safe: one context per worker.
 struct SummarizeContext {
   graph::SearchWorkspace workspace;
-  /// Lane state for multi-query waves (`BatchSummarizer::RunWaveWith`);
-  /// untouched on the per-task paths.
-  graph::MultiQueryWorkspace multi_query;
   /// Eq. (1) output (|E| doubles).
   std::vector<double> adjusted_weights;
   /// Edge-occurrence scratch for `AdjustWeightsInto` (all-zero between
@@ -68,7 +64,6 @@ struct SummarizeContext {
   /// Resident bytes of all retained buffers.
   size_t MemoryFootprintBytes() const {
     return workspace.MemoryFootprintBytes() +
-           multi_query.MemoryFootprintBytes() +
            (adjusted_weights.capacity() + cost_cache_base.capacity() +
             cost_cache_scaled.capacity()) *
                sizeof(double) +
@@ -139,12 +134,12 @@ class BatchSummarizer {
   std::vector<Result<Summary>> RunAll(const std::vector<SummaryTask>& tasks,
                                       const SummarizerOptions& options);
 
-  /// Runs a set of tasks sharing one `options` as a multi-query *wave* on
-  /// \p worker's context: kernel-eligible tasks (KMB Steiner whose Eq. (1)
-  /// overlay is a no-op, so all resolve to the shared base view) go
-  /// through `SteinerTreeWave` — one lockstep kernel sweep with sources
-  /// deduplicated across tasks — and the rest fall back to the per-task
-  /// path inside the same call. `result[i]` corresponds to `tasks[i]` and
+  /// Runs a set of tasks sharing one `options` as a *wave* on \p worker's
+  /// context: wave-eligible tasks (KMB Steiner whose Eq. (1) overlay is a
+  /// no-op, so all resolve to the shared base view) go through
+  /// `SteinerTreeWave` — one search per closure-row source deduplicated
+  /// across tasks — and the rest fall back to the per-task path inside
+  /// the same call. `result[i]` corresponds to `tasks[i]` and
   /// is bit-identical to `RunWith(worker, *tasks[i], options)` (summary
   /// bytes and memory accounting; `elapsed_ms` reports wave wall time,
   /// which is shared by construction). The service's micro-batching window

@@ -152,6 +152,58 @@ void KmbFinish(const CostView& costs, const std::vector<NodeId>& terminals,
       result->tree.MemoryFootprintBytes();
 }
 
+/// Arena span [begin, end) of each stored (i, j>i) expansion path, at
+/// `PairIndex(t, i, j)`.
+using PairSpans = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Dense index of (i, j), j > i, in row-major upper-triangle order.
+size_t PairIndex(size_t t, size_t i, size_t j) {
+  return i * t - i * (i + 1) / 2 + (j - i - 1);
+}
+
+/// Reads closure row i while a search from terminals[i] whose targets
+/// include terminals[i+1..] is resident in \p ws: fills (and mirrors) the
+/// row's distances and appends each reached i→j path to \p arena. A node
+/// on the i→j path settles before j does, so the stored path is exactly
+/// what a fresh phase-3 search from terminal i would reconstruct.
+void ReadKmbRow(const SearchWorkspace& ws, const std::vector<NodeId>& terminals,
+                size_t i, std::vector<double>* closure,
+                std::vector<EdgeId>* arena, PairSpans* spans) {
+  const size_t t = terminals.size();
+  for (size_t j = i + 1; j < t; ++j) {
+    const double d = ws.dist(terminals[j]);
+    (*closure)[i * t + j] = d;
+    (*closure)[j * t + i] = d;
+    if (d < graph::kInfDistance) {
+      const uint32_t begin = static_cast<uint32_t>(arena->size());
+      AppendPathEdges(ws, terminals[j], arena);
+      (*spans)[PairIndex(t, i, j)] = {begin,
+                                      static_cast<uint32_t>(arena->size())};
+    }
+  }
+}
+
+/// Phase-1 accounting plus phases 2-3 over rows read by `ReadKmbRow`. The
+/// one copy of these terms is what keeps the wave's `workspace_bytes`
+/// bit-identical to `SteinerKmb`'s (the service's cached-vs-fresh
+/// verification compares it).
+void FinishKmbRows(const CostView& costs, const std::vector<NodeId>& terminals,
+                   const SteinerOptions& options, SearchWorkspace& ws,
+                   const std::vector<double>& closure,
+                   const std::vector<EdgeId>& arena, const PairSpans& spans,
+                   SteinerResult* result) {
+  const size_t t = terminals.size();
+  result->workspace_bytes += closure.size() * sizeof(double);
+  result->workspace_bytes +=
+      arena.size() * sizeof(EdgeId) + spans.size() * sizeof(spans[0]);
+  KmbFinish(costs, terminals, options, ws, closure,
+            [&](size_t i, size_t j) {
+              const auto [begin, end] = spans[PairIndex(t, i, j)];
+              return std::pair(arena.data() + begin, arena.data() + end);
+            },
+            result);
+}
+
 Result<SteinerResult> SteinerKmb(const CostView& costs,
                                  const std::vector<NodeId>& terminals,
                                  const SteinerOptions& options,
@@ -173,47 +225,19 @@ Result<SteinerResult> SteinerKmb(const CostView& costs,
   // the i→j paths are extracted into an edge arena (O(Σ path length), tiny
   // next to the searches). Phase 3 then expands the closure MST by
   // concatenating stored paths instead of re-running one Dijkstra per MST
-  // source — the seed effectively paid for every search twice. A node on
-  // the i→j path settles before j does, so the stored path is exactly what
-  // a fresh phase-3 search from terminal i would reconstruct.
+  // source — the seed effectively paid for every search twice.
   std::vector<double>& closure = ws.value_scratch();
   closure.assign(t * t, graph::kInfDistance);
   std::vector<EdgeId>& path_arena = ws.edge_scratch();
   path_arena.clear();
-  // Arena span of the (i, j>i) path: pair_offset[PairIndex(i,j)] .. next.
-  auto pair_index = [t](size_t i, size_t j) {
-    // Dense index of (i, j), j > i, in row-major upper-triangle order.
-    return i * t - i * (i + 1) / 2 + (j - i - 1);
-  };
-  const size_t num_pairs = t * (t - 1) / 2;
-  std::vector<std::pair<uint32_t, uint32_t>> pair_span(
-      num_pairs, {0, 0});
+  PairSpans spans(t * (t - 1) / 2, {0, 0});
   for (size_t i = 0; i + 1 < t; ++i) {
     DijkstraInto(costs, terminals[i],
                  std::span<const NodeId>(terminals).subspan(i + 1), ws);
-    for (size_t j = i + 1; j < t; ++j) {
-      const double d = ws.dist(terminals[j]);
-      closure[i * t + j] = d;
-      closure[j * t + i] = d;
-      if (d < graph::kInfDistance) {
-        const uint32_t begin = static_cast<uint32_t>(path_arena.size());
-        AppendPathEdges(ws, terminals[j], &path_arena);
-        pair_span[pair_index(i, j)] = {
-            begin, static_cast<uint32_t>(path_arena.size())};
-      }
-    }
+    ReadKmbRow(ws, terminals, i, &closure, &path_arena, &spans);
   }
-  result.workspace_bytes += closure.size() * sizeof(double);
-  result.workspace_bytes += path_arena.size() * sizeof(EdgeId) +
-                            pair_span.size() * sizeof(pair_span[0]);
-
-  KmbFinish(costs, terminals, options, ws, closure,
-            [&](size_t i, size_t j) {
-              const auto [begin, end] = pair_span[pair_index(i, j)];
-              return std::pair(path_arena.data() + begin,
-                               path_arena.data() + end);
-            },
-            &result);
+  FinishKmbRows(costs, terminals, options, ws, closure, path_arena, spans,
+                &result);
   return result;
 }
 
@@ -470,125 +494,54 @@ std::optional<Result<SteinerResult>> SteinerPrologue(
   return std::nullopt;
 }
 
-
-/// One wave chunk's merged query plan: deduplicated sources with unioned
-/// target sets, plus the source → query-index map tasks read rows through.
+/// A wave's merged search plan: sources deduplicated across tasks, each
+/// with the union of its rows' targets (repeats are harmless: the search
+/// marks each target once) and the (task slot, row) pairs that read it.
 struct WavePlan {
+  struct Reader {
+    size_t slot;
+    size_t row;
+  };
   std::vector<NodeId> sources;
   std::vector<std::vector<NodeId>> targets;  // parallel to sources
-  std::unordered_map<NodeId, size_t> query_of;
+  std::vector<std::vector<Reader>> readers;  // parallel to sources
+  std::unordered_map<NodeId, size_t> search_of;
 
-  size_t AddRow(NodeId source, std::span<const NodeId> row_targets) {
-    auto [it, inserted] = query_of.try_emplace(source, sources.size());
+  void AddRow(NodeId source, std::span<const NodeId> row_targets,
+              Reader reader) {
+    auto [it, inserted] = search_of.try_emplace(source, sources.size());
     if (inserted) {
       sources.push_back(source);
       targets.emplace_back();
+      readers.emplace_back();
     }
     auto& t = targets[it->second];
     t.insert(t.end(), row_targets.begin(), row_targets.end());
-    return it->second;
-  }
-
-  void Finish() {
-    for (std::vector<NodeId>& t : targets) {
-      std::sort(t.begin(), t.end());
-      t.erase(std::unique(t.begin(), t.end()), t.end());
-    }
+    readers[it->second].push_back(reader);
   }
 };
 
-/// Runs one chunk of wave tasks: builds the merged queries, one
-/// `MultiQueryDijkstra`, then per task the standard KMB phases reading
-/// closure rows and expansion paths out of the lanes. The accounting terms
-/// are copied from `SteinerKmb` verbatim so `workspace_bytes` stays
-/// bit-identical to the from-scratch path (the service's cached-vs-fresh
-/// verification compares it).
-void RunWaveChunk(const CostView& costs,
-                  const std::vector<std::vector<NodeId>>& uniques,
-                  std::span<const size_t> chunk, const SteinerOptions& options,
-                  SearchWorkspace& ws, graph::MultiQueryWorkspace& mq,
-                  std::vector<Result<SteinerResult>>* results) {
-  WavePlan plan;
-  for (const size_t task : chunk) {
-    const std::vector<NodeId>& terminals = uniques[task];
-    for (size_t i = 0; i + 1 < terminals.size(); ++i) {
-      plan.AddRow(terminals[i],
-                  std::span<const NodeId>(terminals).subspan(i + 1));
-    }
-  }
-  plan.Finish();
-  std::vector<graph::MultiQuery> queries(plan.sources.size());
-  for (size_t q = 0; q < plan.sources.size(); ++q) {
-    queries[q].source = plan.sources[q];
-    queries[q].targets = plan.targets[q];
-  }
-  graph::MultiQueryDijkstra(costs, queries, mq);
-
-  // Per task: read the closure matrix and expansion paths from the lanes.
-  // A task's row facts are exactly what its own early-exiting row search
-  // would leave: the merged query's pop sequence is the same, run longer,
-  // and every node on a stored i→j path settles before j does — so the
-  // distances and parent chains below are bit-identical to `SteinerKmb`'s.
+/// One wave task's phase-1 buffers, filled across the wave's searches.
+struct WaveRows {
   std::vector<double> closure;
-  std::vector<EdgeId> path_arena;
-  for (const size_t task : chunk) {
-    const std::vector<NodeId>& terminals = uniques[task];
-    const size_t t = terminals.size();
-    SteinerResult result;
-    closure.assign(t * t, graph::kInfDistance);
-    path_arena.clear();
-    auto pair_index = [t](size_t i, size_t j) {
-      return i * t - i * (i + 1) / 2 + (j - i - 1);
-    };
-    const size_t num_pairs = t * (t - 1) / 2;
-    std::vector<std::pair<uint32_t, uint32_t>> pair_span(num_pairs, {0, 0});
-    for (size_t i = 0; i + 1 < t; ++i) {
-      const size_t q = plan.query_of.at(terminals[i]);
-      for (size_t j = i + 1; j < t; ++j) {
-        const double d = mq.dist(q, terminals[j]);
-        closure[i * t + j] = d;
-        closure[j * t + i] = d;
-        if (d < graph::kInfDistance) {
-          const uint32_t begin = static_cast<uint32_t>(path_arena.size());
-          AppendLanePathEdges(mq, q, terminals[j], &path_arena);
-          pair_span[pair_index(i, j)] = {
-              begin, static_cast<uint32_t>(path_arena.size())};
-        }
-      }
-    }
-    result.workspace_bytes += closure.size() * sizeof(double);
-    result.workspace_bytes += path_arena.size() * sizeof(EdgeId) +
-                              pair_span.size() * sizeof(pair_span[0]);
-
-    KmbFinish(costs, terminals, options, ws, closure,
-              [&](size_t i, size_t j) {
-                const auto [begin, end] = pair_span[pair_index(i, j)];
-                return std::pair(path_arena.data() + begin,
-                                 path_arena.data() + end);
-              },
-              &result);
-    (*results)[task] = std::move(result);
-  }
-}
+  std::vector<EdgeId> arena;
+  PairSpans spans;
+};
 
 }  // namespace
 
 std::vector<Result<SteinerResult>> SteinerTreeWave(
     const CostView& costs,
     const std::vector<std::vector<NodeId>>& terminal_sets,
-    const SteinerOptions& options, graph::SearchWorkspace* workspace,
-    graph::MultiQueryWorkspace* multi_query) {
+    const SteinerOptions& options, graph::SearchWorkspace* workspace) {
   std::vector<Result<SteinerResult>> results(
       terminal_sets.size(),
       Result<SteinerResult>(Status::Internal("wave task not run")));
   SearchWorkspace local_ws;
   SearchWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  graph::MultiQueryWorkspace local_mq;
-  graph::MultiQueryWorkspace& mq =
-      multi_query != nullptr ? *multi_query : local_mq;
 
   // Prologue per task; tasks answered early (errors, ≤1 terminal) never
-  // enter a wave. Mehlhorn tasks run plain — nothing to share.
+  // enter the wave. Mehlhorn tasks run plain — nothing to share.
   std::vector<std::vector<NodeId>> uniques(terminal_sets.size());
   std::vector<size_t> pending;
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
@@ -603,26 +556,40 @@ std::vector<Result<SteinerResult>> SteinerTreeWave(
     pending.push_back(i);
   }
 
-  // Chunk so one kernel call's lane state stays bounded: the merged query
-  // count is capped (a lone oversized task still runs whole — the kernel
-  // handles any width; the cap only bounds *additional* tasks per chunk).
-  constexpr size_t kMaxWaveWidth = 64;
-  size_t begin = 0;
-  while (begin < pending.size()) {
-    size_t end = begin;
-    size_t width = 0;
-    while (end < pending.size()) {
-      // Upper bound on the new sources this task adds (dedup can only
-      // shrink it); cheap and stable, which keeps chunking deterministic.
-      const size_t added = uniques[pending[end]].size() - 1;
-      if (end > begin && width + added > kMaxWaveWidth) break;
-      width += added;
-      ++end;
+  WavePlan plan;
+  std::vector<WaveRows> rows(pending.size());
+  for (size_t slot = 0; slot < pending.size(); ++slot) {
+    const std::vector<NodeId>& terminals = uniques[pending[slot]];
+    const size_t t = terminals.size();
+    rows[slot].closure.assign(t * t, graph::kInfDistance);
+    rows[slot].spans.assign(t * (t - 1) / 2, {0, 0});
+    for (size_t i = 0; i + 1 < t; ++i) {
+      plan.AddRow(terminals[i],
+                  std::span<const NodeId>(terminals).subspan(i + 1),
+                  {slot, i});
     }
-    RunWaveChunk(costs, uniques,
-                 std::span<const size_t>(pending).subspan(begin, end - begin),
-                 options, ws, mq, &results);
-    begin = end;
+  }
+
+  // One search per distinct source; every row that reads it is copied out
+  // while the search is resident. A merged search only early-exits later
+  // than each row's own would, and settled-node facts do not depend on how
+  // long a search runs (DESIGN.md §5), so each row is bit-identical to the
+  // one `SteinerKmb` reads from its own search.
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    DijkstraInto(costs, plan.sources[s], plan.targets[s], ws);
+    for (const WavePlan::Reader& reader : plan.readers[s]) {
+      WaveRows& r = rows[reader.slot];
+      ReadKmbRow(ws, uniques[pending[reader.slot]], reader.row, &r.closure,
+                 &r.arena, &r.spans);
+    }
+  }
+
+  for (size_t slot = 0; slot < pending.size(); ++slot) {
+    const size_t task = pending[slot];
+    SteinerResult result;
+    FinishKmbRows(costs, uniques[task], options, ws, rows[slot].closure,
+                  rows[slot].arena, rows[slot].spans, &result);
+    results[task] = std::move(result);
   }
   return results;
 }

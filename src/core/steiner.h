@@ -12,9 +12,13 @@
 ///    boundary edges induce the closure. O(|E| + |V| log |V|), same
 ///    guarantee; offered as a faster engineering alternative and ablation.
 ///
-/// Every entry point (single, chained, wave) reads a prebuilt
-/// `graph::CostView`; none builds one. The batch engine takes base views
-/// from `SharedCostViews` and rebuilds overlay views in its context.
+/// Every KMB entry point (single, chained, wave) runs its closure rows
+/// through the one search kernel, `graph::DijkstraInto`; they differ only
+/// in which rows they search (chained: the rows its store lacks; wave: each
+/// distinct row source once across many tasks). Every entry point reads a
+/// prebuilt `graph::CostView`; none builds one. The batch engine takes
+/// base views from `SharedCostViews` and rebuilds overlay views in its
+/// context.
 
 #ifndef XSUM_CORE_STEINER_H_
 #define XSUM_CORE_STEINER_H_
@@ -25,7 +29,6 @@
 
 #include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "graph/subgraph.h"
 #include "util/status.h"
@@ -137,30 +140,28 @@ Result<SteinerResult> SteinerTreeChained(
     graph::SearchWorkspace* workspace, KmbClosureStore* store);
 
 /// \brief Wave construction: answers many KMB queries over *one* cost view
-/// through shared `MultiQueryDijkstra` kernel invocations (DESIGN.md §8).
+/// with each distinct closure-row source searched once (DESIGN.md §8).
 ///
-/// All closure rows of all tasks are gathered into multi-query waves with
-/// the sources deduplicated across tasks — two tasks searching from the
-/// same terminal share one search whose target set is the union (valid by
-/// the settled-prefix argument of DESIGN.md §5: a merged query early-exits
+/// All closure rows of all tasks are planned together with the sources
+/// deduplicated across tasks — two tasks searching from the same terminal
+/// share one `graph::DijkstraInto` whose target set is the union (valid by
+/// the settled-prefix argument of DESIGN.md §5: a merged search early-exits
 /// later, and settled-node facts do not depend on how long a search runs).
-/// On Zipf-skewed traffic, where hot users/items recur across concurrent
-/// tasks, that dedup — not the lockstep itself — is the dominant win.
+/// Right after each search, every row that reads it is copied into its
+/// task's own closure and path buffers (O(|T|²) per task, no O(|V|) state
+/// beyond \p workspace). On Zipf-skewed traffic, where hot users/items
+/// recur across concurrent tasks, that dedup is the wave's whole win.
 ///
 /// `result[i]` is **bit-identical** to
 /// `SteinerTree(costs, terminal_sets[i], options, workspace)` — tree,
-/// unreached terminals, and `workspace_bytes` (the accounting mirrors the
-/// from-scratch terms) — including the degenerate single-task wave. A
+/// unreached terminals, and `workspace_bytes` (the accounting is the
+/// from-scratch code) — including the degenerate single-task wave. A
 /// `kMehlhorn` \p options runs each task through the plain construction
 /// (its one multi-source sweep has nothing to share).
-///
-/// \p multi_query holds the O(|V|·B) lane state, reused across waves; wide
-/// task sets are chunked internally so the lane footprint stays bounded.
 std::vector<Result<SteinerResult>> SteinerTreeWave(
     const graph::CostView& costs,
     const std::vector<std::vector<graph::NodeId>>& terminal_sets,
-    const SteinerOptions& options, graph::SearchWorkspace* workspace,
-    graph::MultiQueryWorkspace* multi_query);
+    const SteinerOptions& options, graph::SearchWorkspace* workspace);
 
 }  // namespace xsum::core
 

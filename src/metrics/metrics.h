@@ -63,8 +63,12 @@ double Actionability(const graph::KnowledgeGraph& graph,
 /// \brief Diversity D(S) = mean over edge pairs of (1 − Jaccard of their
 /// endpoint sets) (§V-B-3). Explanations with < 2 edges score 0.
 ///
-/// Exact up to \p max_pairs edge pairs; larger views are estimated on a
-/// deterministic sample of pairs (documented in EXPERIMENTS.md).
+/// Exact (all m·(m−1)/2 pairs of the m edge occurrences) up to
+/// \p max_pairs pairs. Larger views are estimated on exactly \p max_pairs
+/// pairs drawn with replacement from `Rng(seed)`: i uniform, j uniform
+/// over the other m−1 occurrences. The fixed seed makes the estimate
+/// deterministic, which memoized serving values rely on (DESIGN.md §10.5,
+/// "Memoized values keep the identity").
 double Diversity(const ExplanationView& view, size_t max_pairs = 200000,
                  uint64_t seed = 13);
 

@@ -298,9 +298,9 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::SummarizeRecord(
   // Micro-batching window (DESIGN.md §8): wave-eligible leaders — KMB
   // Steiner misses with no usable chain predecessor — rendezvous with
   // concurrent eligible misses on the same (snapshot, options) and are
-  // answered by one multi-query kernel wave. Off by default; responses
-  // are bit-identical either way, the window only trades a bounded wait
-  // for amortized traversal under concurrent miss bursts.
+  // answered by one KMB wave. Off by default; responses are bit-identical
+  // either way, the window only trades a bounded wait for closure searches
+  // shared under concurrent miss bursts.
   std::shared_ptr<core::SummaryChain> out_chain;
   Result<std::shared_ptr<const SummaryRecord>> result =
       Status::Internal("SummaryService: compute not reached");

@@ -59,10 +59,10 @@ struct ServiceOptions {
   /// set, a cache-miss leader whose request is wave-eligible (ST/KMB, no
   /// usable chain predecessor) waits up to this long for concurrent
   /// eligible misses on the same (snapshot, options) and answers the whole
-  /// group through one multi-query kernel wave
-  /// (`core::BatchSummarizer::RunWaveWith`) on a single worker slot.
-  /// Responses are bit-identical to unbatched computes; the window only
-  /// trades a bounded latency wait for amortized CSR traversal. Surfaced
+  /// group through one KMB wave (`core::BatchSummarizer::RunWaveWith`)
+  /// on a single worker slot. Responses are bit-identical to unbatched
+  /// computes; the window only trades a bounded latency wait for closure
+  /// searches shared across the group's terminals. Surfaced
   /// as `XSUM_BATCH_WINDOW_US` by the serving binary and benches.
   int64_t batch_window_us = 0;
   /// Requests per wave at which the window closes early (leader included).
@@ -84,7 +84,7 @@ struct ServiceStats {
   uint64_t snapshot_version = 0;
   /// Chain checkpoints accepted from a draining peer (`ImportChain`).
   uint64_t chains_imported = 0;
-  /// Multi-query waves run by the micro-batching window (each occupies
+  /// KMB waves run by the micro-batching window (each occupies
   /// one worker slot regardless of its member count).
   uint64_t batch_waves = 0;
   /// Requests answered through a wave (leaders + joined members; their

@@ -98,7 +98,8 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
       {"XSUM_BATCH_WINDOW_US", "int", "0 (off)", ">= 0",
        "xsum_server, bench_service",
        "service micro-batching window in microseconds: concurrent "
-       "cache-miss computes coalesce into one multi-query kernel wave"},
+       "cache-miss computes coalesce into one KMB wave that searches each "
+       "shared terminal once"},
       {"XSUM_BATCH_MAX", "int", "8", ">= 2",
        "xsum_server, bench_service",
        "requests per wave at which the micro-batching window closes early"},

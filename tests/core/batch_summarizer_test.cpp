@@ -213,7 +213,7 @@ TEST(BatchSummarizerTest, PropagatesErrorsPerTask) {
 TEST(BatchSummarizerTest, WaveIsBitIdenticalToPerTaskRunsOnMixedTasks) {
   // RunWaveWith must return, slot for slot, exactly what RunWith returns:
   // summary bytes AND memory accounting. The mix matters — pathless KMB
-  // tasks ride the multi-query kernel, tasks with explanation paths get a
+  // tasks ride the shared wave searches, tasks with explanation paths get a
   // λ overlay (ineligible) and must take the per-task path inside the
   // same wave call without disturbing their neighbours.
   const Fixture f = MakeFixture(0.03, 25);

@@ -312,9 +312,7 @@ TEST(NonFiniteCostTest, EveryKernelEntryRejectsTheView) {
                     .IsInvalidArgument())
         << bad;
     graph::SearchWorkspace ws;
-    graph::MultiQueryWorkspace mq;
-    const auto wave =
-        SteinerTreeWave(view, {terminals, {1, 4}}, kmb, &ws, &mq);
+    const auto wave = SteinerTreeWave(view, {terminals, {1, 4}}, kmb, &ws);
     ASSERT_EQ(wave.size(), 2u);
     for (const auto& slot : wave) {
       EXPECT_TRUE(slot.status().IsInvalidArgument()) << bad;

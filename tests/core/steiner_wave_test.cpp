@@ -2,7 +2,7 @@
 /// return, slot for slot, exactly what the sequential `SteinerTree` call
 /// returns for the same terminal set — tree nodes/edges, unreached
 /// terminals, workspace_bytes accounting, and error statuses — across
-/// single-task waves, wide waves that exercise the internal chunking, the
+/// single-task waves, wide waves whose tasks share many row sources, the
 /// Mehlhorn fallback, and heavy workspace reuse.
 
 #include <vector>
@@ -12,7 +12,6 @@
 #include "core/steiner.h"
 #include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "util/rng.h"
 
@@ -65,7 +64,6 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
   Rng rng(808);
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
   for (int round = 0; round < 8; ++round) {
     const size_t n = 30 + rng.Uniform(200);
     std::vector<double> costs;
@@ -85,7 +83,7 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
     SteinerOptions options;
     options.variant = SteinerOptions::Variant::kKmb;
     const auto wave =
-        SteinerTreeWave(view, terminal_sets, options, &wave_ws, &mq);
+        SteinerTreeWave(view, terminal_sets, options, &wave_ws);
     ASSERT_EQ(wave.size(), wave_size);
     for (size_t i = 0; i < wave_size; ++i) {
       const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -95,8 +93,9 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
 }
 
 TEST(SteinerWaveTest, WideWaveExercisesChunkingAndStaysIdentical) {
-  // 70 tasks > kMaxWaveWidth (64): the wave must chunk internally and
-  // remain slot-identical to sequential calls across the chunk boundary.
+  // 70 tasks whose rows all share one search plan: many sources recur
+  // across tasks, so most rows are read from a merged search with a wider
+  // target set, and every slot must stay identical to its sequential call.
   std::vector<double> costs;
   const KnowledgeGraph g = RandomGraph(120, 300, 909, &costs);
   CostView view;
@@ -112,9 +111,7 @@ TEST(SteinerWaveTest, WideWaveExercisesChunkingAndStaysIdentical) {
   options.variant = SteinerOptions::Variant::kKmb;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), terminal_sets.size());
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -136,9 +133,7 @@ TEST(SteinerWaveTest, BadTaskFailsItsSlotWithoutPoisoningTheWave) {
   options.variant = SteinerOptions::Variant::kKmb;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), 3u);
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -165,9 +160,7 @@ TEST(SteinerWaveTest, MehlhornWaveFallsBackToSequentialResults) {
   options.variant = SteinerOptions::Variant::kMehlhorn;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), terminal_sets.size());
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);

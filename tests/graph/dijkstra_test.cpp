@@ -1,6 +1,7 @@
 #include "graph/dijkstra.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +129,76 @@ TEST(DijkstraTest, ZeroCostEdgesAllowed) {
   SearchWorkspace ws;
   DijkstraInto(WeightView(g), 0, {}, ws);
   EXPECT_DOUBLE_EQ(ws.dist(2), 0.0);
+}
+
+/// Settled-prefix property the KMB wave relies on (DESIGN.md §5): a search
+/// from one source to a superset of targets — or a full sweep — leaves
+/// bit-identical facts on every node the subset search settled: distance,
+/// parent node, parent edge, and the extracted path edges of each subset
+/// target. That is what lets one merged search serve every closure row
+/// that shares its source. Costs 0..8 make ties and zero-cost edges common.
+TEST(DijkstraTest, DuplicateSourcesWithDifferentTargetsAgree) {
+  Rng rng(2025);
+  SearchWorkspace subset_ws;
+  SearchWorkspace superset_ws;
+  for (int round = 0; round < 32; ++round) {
+    const size_t n = 16 + rng.Uniform(400);
+    GraphBuilder builder;
+    builder.AddNodes(NodeType::kEntity, n);
+    std::vector<double> costs;
+    auto add = [&](NodeId a, NodeId b) {
+      if (a == b) return;
+      if (builder.AddEdge(a, b, Relation::kRelatedTo, 1.0).ok()) {
+        costs.push_back(static_cast<double>(rng.Uniform(9)));
+      }
+    };
+    for (NodeId v = 1; v < n; ++v) {
+      add(static_cast<NodeId>(rng.Uniform(v)), v);  // spanning backbone
+    }
+    for (size_t e = 0; e < 2 * n; ++e) {
+      add(static_cast<NodeId>(rng.Uniform(n)),
+          static_cast<NodeId>(rng.Uniform(n)));
+    }
+    const KnowledgeGraph g = std::move(builder).Finalize();
+    CostView view;
+    view.Assign(g, costs);
+
+    const NodeId source = static_cast<NodeId>(rng.Uniform(n));
+    std::vector<NodeId> subset(1 + rng.Uniform(5));
+    for (NodeId& t : subset) t = static_cast<NodeId>(rng.Uniform(n));
+    std::vector<NodeId> superset = subset;
+    for (size_t extra = rng.Uniform(9); extra > 0; --extra) {
+      superset.push_back(static_cast<NodeId>(rng.Uniform(n)));
+    }
+    std::sort(superset.begin(), superset.end());
+
+    DijkstraInto(view, source, subset, subset_ws);
+    for (const bool full_sweep : {false, true}) {
+      DijkstraInto(view, source,
+                   full_sweep ? std::span<const NodeId>()
+                              : std::span<const NodeId>(superset),
+                   superset_ws);
+      for (NodeId v = 0; v < n; ++v) {
+        if (!subset_ws.settled(v)) continue;
+        ASSERT_TRUE(superset_ws.settled(v)) << "round " << round << " " << v;
+        ASSERT_EQ(superset_ws.dist(v), subset_ws.dist(v))
+            << "round " << round << " node " << v;
+        ASSERT_EQ(superset_ws.parent_node(v), subset_ws.parent_node(v))
+            << "round " << round << " node " << v;
+        ASSERT_EQ(superset_ws.parent_edge(v), subset_ws.parent_edge(v))
+            << "round " << round << " node " << v;
+      }
+      for (NodeId t : subset) {
+        ASSERT_TRUE(subset_ws.settled(t)) << "round " << round << " " << t;
+        std::vector<EdgeId> subset_edges;
+        AppendPathEdges(subset_ws, t, &subset_edges);
+        std::vector<EdgeId> superset_edges;
+        AppendPathEdges(superset_ws, t, &superset_edges);
+        ASSERT_EQ(superset_edges, subset_edges)
+            << "round " << round << " target " << t;
+      }
+    }
+  }
 }
 
 TEST(MultiSourceDijkstraTest, AssignsNearestSource) {

@@ -237,39 +237,49 @@ TEST_F(RouterTest, PlacementIsStableWhenEndpointsGrow) {
 }
 
 TEST_F(RouterTest, FailoverToSurvivingShardKeepsAnswersIdentical) {
-  auto shard_a = StartShard();
-  auto shard_b = StartShard();
+  std::unique_ptr<Shard> shards[2] = {StartShard(), StartShard()};
   ShardRouter::Options options;
-  options.endpoints = {shard_a->endpoint(), shard_b->endpoint()};
+  options.endpoints = {shards[0]->endpoint(), shards[1]->endpoint()};
   options.timeout_ms = 1000;
   ShardRouter router(nullptr, options);
 
   SummaryService direct_service(registry_);
   SummaryHandler direct(&direct_service, catalog_);
 
-  // Find requests homed on shard A, then kill A.
-  std::vector<SummaryRequest> homed_on_a;
+  // The victim is wherever the first catalog request homes: the ring
+  // hashes ephemeral-port labels, so a fixed index may home no request.
+  SummaryRequest first;
+  first.unit = catalog_->entries().front().unit;
+  first.k = catalog_->entries().front().k;
+  const size_t victim = router.EndpointFor(first);
+  ASSERT_LT(victim, 2u);
+  const size_t survivor = 1 - victim;
+
+  // Find requests homed on the victim, then kill it.
+  std::vector<SummaryRequest> homed_on_victim;
   for (const auto& entry : catalog_->entries()) {
     SummaryRequest request;
     request.unit = entry.unit;
     request.k = entry.k;
-    if (router.EndpointFor(request) == 0) homed_on_a.push_back(request);
+    if (router.EndpointFor(request) == victim) {
+      homed_on_victim.push_back(request);
+    }
   }
-  ASSERT_FALSE(homed_on_a.empty());
-  shard_a->server->Stop();
+  ASSERT_FALSE(homed_on_victim.empty());
+  shards[victim]->server->Stop();
 
-  for (const SummaryRequest& request : homed_on_a) {
+  for (const SummaryRequest& request : homed_on_victim) {
     const net::HttpResponse routed = router.Summarize(request);
     ASSERT_EQ(routed.status, 200) << routed.body;
     EXPECT_EQ(routed.body, direct.Summarize(request).body);
   }
   const RouterStats stats = router.stats();
-  EXPECT_GE(stats.failovers, homed_on_a.size());
-  EXPECT_EQ(stats.routed, homed_on_a.size());
-  EXPECT_EQ(stats.per_endpoint[0], 0u);
-  EXPECT_EQ(stats.per_endpoint[1], homed_on_a.size());
+  EXPECT_GE(stats.failovers, homed_on_victim.size());
+  EXPECT_EQ(stats.routed, homed_on_victim.size());
+  EXPECT_EQ(stats.per_endpoint[victim], 0u);
+  EXPECT_EQ(stats.per_endpoint[survivor], homed_on_victim.size());
 
-  shard_b->server->Stop();
+  shards[survivor]->server->Stop();
 }
 
 TEST_F(RouterTest, LocalFallbackAnswersWhenEveryShardIsDown) {
@@ -500,10 +510,9 @@ TEST_F(RouterTest, ReadyzFollowsTheDrainLifecycle) {
 }
 
 TEST_F(RouterTest, DrainHandsChainsToTheInheritorAndKeepsReusealive) {
-  auto shard_a = StartShard();
-  auto shard_b = StartShard();
+  std::unique_ptr<Shard> shards[2] = {StartShard(), StartShard()};
   ShardRouter::Options options;
-  options.endpoints = {shard_a->endpoint(), shard_b->endpoint()};
+  options.endpoints = {shards[0]->endpoint(), shards[1]->endpoint()};
   options.timeout_ms = 2000;
   options.hedge = false;
   options.health_probes = false;
@@ -512,79 +521,85 @@ TEST_F(RouterTest, DrainHandsChainsToTheInheritorAndKeepsReusealive) {
   SummaryService direct_service(registry_);
   SummaryHandler direct(&direct_service, catalog_);
 
-  // Warm chained sweeps (k = 1..3) for every unit homed on shard A,
-  // in the KMB configuration whose checkpoints carry state (Mehlhorn
-  // computes chain-free — nothing to hand off there).
-  std::vector<uint32_t> units_on_a;
-  for (const auto& entry : catalog_->entries()) {
-    if (entry.k != 1) continue;
+  // Warm chained sweeps (k = 1..3) for every unit homed on the drained
+  // shard, in the KMB configuration whose checkpoints carry state
+  // (Mehlhorn computes chain-free — nothing to hand off there). The
+  // drained shard is wherever the first k = 1 unit homes: the ring hashes
+  // ephemeral-port labels, so a fixed index may home no unit.
+  auto sweep_request = [](uint32_t unit) {
     SummaryRequest request;
-    request.unit = entry.unit;
+    request.unit = unit;
     request.lambda = 0.0;
     request.variant = core::SteinerOptions::Variant::kKmb;
-    if (router.EndpointFor(request) == 0) units_on_a.push_back(entry.unit);
+    return request;
+  };
+  size_t drained = 2;
+  std::vector<uint32_t> units_on_drained;
+  for (const auto& entry : catalog_->entries()) {
+    if (entry.k != 1) continue;
+    const size_t home = router.EndpointFor(sweep_request(entry.unit));
+    if (drained == 2) drained = home;
+    if (home == drained) units_on_drained.push_back(entry.unit);
   }
-  ASSERT_FALSE(units_on_a.empty());
-  for (const uint32_t unit : units_on_a) {
+  ASSERT_LT(drained, 2u);
+  ASSERT_FALSE(units_on_drained.empty());
+  Shard& drained_shard = *shards[drained];
+  Shard& inheritor = *shards[1 - drained];
+  for (const uint32_t unit : units_on_drained) {
     for (int k = 1; k <= 3; ++k) {
-      SummaryRequest request;
-      request.unit = unit;
+      SummaryRequest request = sweep_request(unit);
       request.k = k;
       request.prev_k = k > 1 ? k - 1 : 0;
-      request.lambda = 0.0;
-      request.variant = core::SteinerOptions::Variant::kKmb;
       ASSERT_EQ(router.Summarize(request).status, 200);
     }
   }
-  ASSERT_FALSE(shard_a->service->ExportChains().empty());
-  ASSERT_GT(shard_a->service->Stats().incremental, 0u);
+  ASSERT_FALSE(drained_shard.service->ExportChains().empty());
+  ASSERT_GT(drained_shard.service->Stats().incremental, 0u);
 
-  // Drain A through the router: checkpoints must land on B (the only
-  // possible ring inheritor) and A must stop being routable.
-  const uint64_t b_incremental = shard_b->service->Stats().incremental;
+  // Drain it through the router: checkpoints must land on the other shard
+  // (the only possible ring inheritor) and the drained shard must stop
+  // being routable.
+  const uint64_t inheritor_incremental = inheritor.service->Stats().incremental;
   const net::HttpResponse report =
-      router.DrainEndpoint(shard_a->endpoint(), /*wait_ms=*/2000);
+      router.DrainEndpoint(drained_shard.endpoint(), /*wait_ms=*/2000);
   ASSERT_EQ(report.status, 200) << report.body;
   EXPECT_NE(report.body.find("\"drained\""), std::string::npos);
-  EXPECT_TRUE(shard_a->handler->draining());
-  EXPECT_GT(shard_b->service->Stats().chains_imported, 0u)
+  EXPECT_TRUE(drained_shard.handler->draining());
+  EXPECT_GT(inheritor.service->Stats().chains_imported, 0u)
       << "no checkpoint reached the inheritor";
   {
     const RouterStats stats = router.stats();
     EXPECT_EQ(stats.drains, 1u);
     EXPECT_GT(stats.chains_handed_off, 0u);
   }
-  const auto readyz =
-      net::HttpFetch("127.0.0.1", shard_a->server->port(), "GET", "/readyz");
+  const auto readyz = net::HttpFetch("127.0.0.1", drained_shard.server->port(),
+                                     "GET", "/readyz");
   ASSERT_TRUE(readyz.ok()) << readyz.status();
   EXPECT_EQ(readyz->status, 503) << "drained shard still reports ready";
 
-  // Extending each sweep now routes to B and keeps running
+  // Extending each sweep now routes to the inheritor and keeps running
   // *incrementally* off the handed-over k=3 checkpoints — the §5 reuse
-  // survived the drain (the acceptance property of ISSUE 6).
-  const uint64_t a_served = router.stats().per_endpoint[0];
-  for (const uint32_t unit : units_on_a) {
-    SummaryRequest request;
-    request.unit = unit;
+  // survived the drain.
+  const uint64_t drained_served = router.stats().per_endpoint[drained];
+  for (const uint32_t unit : units_on_drained) {
+    SummaryRequest request = sweep_request(unit);
     request.k = 4;
     request.prev_k = 3;
-    request.lambda = 0.0;
-    request.variant = core::SteinerOptions::Variant::kKmb;
     const net::HttpResponse routed = router.Summarize(request);
     ASSERT_EQ(routed.status, 200) << routed.body;
     EXPECT_EQ(routed.body, direct.Summarize(request).body);
   }
-  EXPECT_EQ(router.stats().per_endpoint[0], a_served)
+  EXPECT_EQ(router.stats().per_endpoint[drained], drained_served)
       << "draining endpoint was still routed to";
-  EXPECT_GT(shard_b->service->Stats().incremental, b_incremental)
+  EXPECT_GT(inheritor.service->Stats().incremental, inheritor_incremental)
       << "inheritor recomputed from scratch: the handoff lost the chains";
 
   // Undrain restores the endpoint to rotation.
-  EXPECT_EQ(router.UndrainEndpoint(shard_a->endpoint()).status, 200);
-  EXPECT_FALSE(shard_a->handler->draining());
+  EXPECT_EQ(router.UndrainEndpoint(drained_shard.endpoint()).status, 200);
+  EXPECT_FALSE(drained_shard.handler->draining());
 
-  shard_a->server->Stop();
-  shard_b->server->Stop();
+  shards[0]->server->Stop();
+  shards[1]->server->Stop();
 }
 
 /// Builds the POST /summarize wire request for \p unit at \p k, carrying
@@ -657,34 +672,30 @@ TEST_F(RouterTest, RoutedRequestCarriesOneTraceIdEndToEnd) {
 }
 
 TEST_F(RouterTest, FailedOverRequestKeepsItsSingleTraceId) {
-  auto shard_a = StartShard();
-  auto shard_b = StartShard();
+  std::unique_ptr<Shard> shards[2] = {StartShard(), StartShard()};
   ShardRouter::Options options;
-  options.endpoints = {shard_a->endpoint(), shard_b->endpoint()};
+  options.endpoints = {shards[0]->endpoint(), shards[1]->endpoint()};
   options.timeout_ms = 1000;
   options.hedge = false;
   options.health_probes = false;
   ShardRouter router(nullptr, options);
 
-  // A request homed on A, with A dead: the failover attempt on B must
-  // carry the original trace ID, and the router trace must show both the
-  // failed and the successful hop.
-  SummaryRequest on_a;
-  bool found = false;
-  for (const auto& entry : catalog_->entries()) {
-    on_a.unit = entry.unit;
-    on_a.k = entry.k;
-    if (router.EndpointFor(on_a) == 0) {
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-  shard_a->server->Stop();
+  // A request homed on the victim, with the victim dead: the failover
+  // attempt on the survivor must carry the original trace ID, and the
+  // router trace must show both the failed and the successful hop. The
+  // victim is wherever the first catalog request homes: the ring hashes
+  // ephemeral-port labels, so a fixed index may home no request.
+  SummaryRequest on_victim;
+  on_victim.unit = catalog_->entries().front().unit;
+  on_victim.k = catalog_->entries().front().k;
+  const size_t victim = router.EndpointFor(on_victim);
+  ASSERT_LT(victim, 2u);
+  const size_t survivor = 1 - victim;
+  shards[victim]->server->Stop();
 
   const uint64_t trace_id = 0xFA110FFULL;
-  const net::HttpResponse response =
-      router.Handle(SummarizeWireRequest(on_a.unit, on_a.k, trace_id));
+  const net::HttpResponse response = router.Handle(
+      SummarizeWireRequest(on_victim.unit, on_victim.k, trace_id));
   ASSERT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(EchoedTraceId(response), trace_id);
 
@@ -701,10 +712,10 @@ TEST_F(RouterTest, FailedOverRequestKeepsItsSingleTraceId) {
   }
   EXPECT_TRUE(saw_failure) << "failed hop missing from the trace";
   EXPECT_TRUE(saw_ok) << "surviving hop missing from the trace";
-  EXPECT_TRUE(shard_b->handler->trace_log().Find(trace_id, &entry))
+  EXPECT_TRUE(shards[survivor]->handler->trace_log().Find(trace_id, &entry))
       << "the failover shard saw a different (or no) trace ID";
 
-  shard_b->server->Stop();
+  shards[survivor]->server->Stop();
 }
 
 /// A shard whose /summarize can be slowed after startup — the hedge

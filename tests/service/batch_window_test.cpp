@@ -1,6 +1,6 @@
 /// Tests of the service's opt-in micro-batching window: with
 /// `batch_window_us` set, concurrent cache-miss requests that share a
-/// snapshot and options must coalesce into one multi-query kernel wave —
+/// snapshot and options must coalesce into one KMB wave —
 /// and every response must stay byte-identical to the unbatched path,
 /// including windows that expire empty (occupancy 1) and option mixes the
 /// wave kernel cannot serve.
